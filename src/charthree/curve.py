@@ -19,10 +19,12 @@ and A = -a - B^2, one of three choices differing by B -> B +- 1.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .f3linalg import LinearSolver
-from .fields import FieldElement, FieldTower, make_tower, mult_order, trace_p
+from .factorint import factorize
+from .fields import FieldElement, FieldTower, make_tower, trace_p
 from .polyfamilies import p_order, r_order
 
 INFINITY = "infinity"
@@ -293,11 +295,15 @@ class Curve:
     def sample_nonrational(self, order: int, count: int = 3,
                            max_rel_degree: int = 4) -> list[Place]:
         """Up to `count` distinct non-rational places whose gamma has the
-        given multiplicative order, with coordinates in F_{q^(2d)}, d <= 4.
+        given multiplicative order, with coordinates in F_{q^(2d)},
+        d <= max_rel_degree.
 
-        Deterministic: roots of unity, solutions and kernel offsets are
-        taken in a fixed order.  Returns [] when the class is not
-        realizable within the degree bound.
+        Constructed, not searched for: each order-th root of unity gamma
+        gives w = (gamma+1)/(gamma-1), then b with p(b) = +-w and a with
+        a^q + a = -w^2, shifted by small combinations of the kernel bases.
+        Deterministic; the first level F_{q^(2d)} that yields a place ends
+        the search, and [] means the class is not realizable within the
+        degree bound.
         """
         if order % 3 == 0 or order < 4:
             return []
@@ -311,6 +317,8 @@ class Curve:
             if N % e0 != 0 or N > self.tower.max_degree:
                 continue
             lvl = self.tower.level(N)
+            bker = self.kernel_trace_p(N)
+            aker = self.kernel_artin_schreier(N)
             for gamma in _roots_of_unity(lvl, order):
                 w = (gamma + 1) / (gamma - 1)
                 beta = w * w
@@ -323,8 +331,6 @@ class Curve:
                     a0 = self.solve_artin_schreier(-beta)
                     if a0 is None:
                         continue
-                    bker = self.kernel_trace_p(N)
-                    aker = self.kernel_artin_schreier(N)
                     for boff, aoff in itertools.product(
                             _small_combinations(bker), _small_combinations(aker)):
                         b = b0 + boff if boff is not None else b0
@@ -355,21 +361,25 @@ def _mult_order_int(base: int, mod: int) -> int:
     return k
 
 
-def _roots_of_unity(lvl, order: int, scan_budget: int = 20000):
-    """Elements of exact multiplicative order `order`, deterministic scan."""
+def _roots_of_unity(lvl, order: int):
+    """The phi(order) elements of exact order `order`: y^k for k coprime to
+    `order`, increasing, where y = z^cof for the first z in iter_elements
+    order whose power has exact order (checked from factorize(order) alone)."""
     if (lvl.order() - 1) % order != 0:
         return
     cof = (lvl.order() - 1) // order
-    seen = set()
-    for z in itertools.islice(lvl.iter_elements(), scan_budget):
-        if z.is_zero():
-            continue
+    primes = factorize(order)
+    for z in lvl.iter_elements():
         y = z ** cof
-        if y.pk in seen or y == 1:
-            continue
-        seen.add(y.pk)
-        if mult_order(y) == order:
-            yield y
+        if y ** order == 1 and all(y ** (order // p) != 1 for p in primes):
+            break
+    else:
+        raise ArithmeticError(f"no element of order {order} in {lvl}")
+    yk = lvl.one()
+    for k in range(1, order + 1):
+        yk = yk * y
+        if math.gcd(k, order) == 1:
+            yield yk
 
 
 def _small_combinations(kernel):

@@ -483,13 +483,6 @@ class FieldTower:
             raise ValueError(f"element not in the degree-{n} subfield")
         return self.ensure_level(n).element(sol)
 
-    def in_subfield(self, x: FieldElement, n: int) -> bool:
-        if x.level.n == n:
-            return True
-        if x.level.n % n != 0:
-            return False
-        return self._embedding(n, x.level.n).solver.solve(list(x.coeffs)) is not None
-
     def _embedding(self, n: int, N: int) -> _Embedding:
         key = (n, N)
         if key in self._emb:

@@ -105,7 +105,7 @@ class TruncatedSeries:
         for e in range(val, prec):
             a = self.pk[e - self.val] if 0 <= e - self.val < len(self.pk) else 0
             b = other.pk[e - other.val] if 0 <= e - other.val < len(other.pk) else 0
-            out.append(_canon_add(a, b, self.level))
+            out.append(_canon_add(a, b))
         return TruncatedSeries(self.level, val, tuple(out), prec)
 
     def __neg__(self):
@@ -203,7 +203,7 @@ class TruncatedSeries:
         return f"Series[v={self.val}; {head}; O(T^{self.prec})]"
 
 
-def _canon_add(a: int, b: int, lvl) -> int:
+def _canon_add(a: int, b: int) -> int:
     return _p3_canon(a + b)
 
 

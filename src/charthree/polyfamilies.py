@@ -10,7 +10,7 @@ symbolic engine works with Laurent polynomials carrying an explicit
 
 The P-order of beta is the least i >= 1 with P_{i+1}(beta) = 0; it equals
 ord(gamma) - 1 for gamma = (sqrt(beta)+1)/(sqrt(beta)-1), and the R-order
-K follows from i by K = i/3 (i = 0 mod 3) or K = (2i+1)/3 (i = 1 mod 3).
+K follows from i by K = i/3 - 1 (i = 0 mod 3) or K = (2i-2)/3 (i = 1 mod 3).
 """
 
 from __future__ import annotations

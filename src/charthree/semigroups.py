@@ -72,9 +72,6 @@ class GapSet:
     def conductor(self) -> int:
         return self.gaps[-1] + 1 if self.gaps else 0
 
-    def contains_gap(self, n: int) -> bool:
-        return n in set(self.gaps)
-
 
 def is_cofinite_monoid(g) -> bool:
     """True iff the complement of the gap set is an additive monoid.

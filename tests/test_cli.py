@@ -152,6 +152,18 @@ def test_verify_semigroups_lists_certificates(capsys):
         assert all(c["ok"] for c in r["certificates"])
 
 
+def test_verify_all_q27(capsys):
+    code, out = run_cli(capsys, "verify", "--t", "3", "--scope", "all")
+    assert code == 0
+    doc = json.loads(out)
+    assert all(r["ok"] for r in doc["results"])
+    sampled = next(r for r in doc["results"] if r["check"] == "nonrational.sampled")
+    assert sampled["detail"].startswith("4 places")
+    classes = {r["check"] for r in doc["results"]
+               if r["check"].startswith("valuations[nonrational")}
+    assert len(classes) == 4
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["bogus-command"])

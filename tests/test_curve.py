@@ -1,9 +1,12 @@
+import itertools
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
-from charthree.curve import Curve
+from charthree.curve import Curve, _roots_of_unity
 from charthree.factorint import euler_phi
+from charthree.fields import mult_order
 
 
 def test_rejects_t1():
@@ -120,6 +123,50 @@ def test_sampled_places_distinct(curve9):
     pls = curve9.sample_nonrational(4, count=3)
     keys = {(p.a.pk, p.b.pk) for p in pls}
     assert len(keys) == 3
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_roots_of_unity_match_brute_force(tower9, n):
+    lvl = tower9.ensure_level(n)
+    group = 3 ** n - 1
+    by_order: dict[int, set[int]] = {}
+    for z in lvl.iter_elements():
+        if not z.is_zero():
+            by_order.setdefault(mult_order(z), set()).add(z.pk)
+    for o in (d for d in range(1, group + 1) if group % d == 0):
+        roots = [y.pk for y in _roots_of_unity(lvl, o)]
+        assert len(roots) == len(set(roots)) == euler_phi(o)
+        assert set(roots) == by_order[o]
+    assert list(_roots_of_unity(lvl, 7 if n == 4 else 5)) == []
+
+
+def test_roots_of_unity_fail_loudly_when_scan_runs_out(tower9):
+    # 5 divides 3^4 - 1, but no constant of F_81 has order 5
+    lvl = tower9.ensure_level(4)
+    constants_only = SimpleNamespace(
+        order=lvl.order, iter_elements=lambda: itertools.islice(lvl.iter_elements(), 3))
+    with pytest.raises(ArithmeticError, match="no element of order 5"):
+        list(_roots_of_unity(constants_only, 5))
+
+
+# First sampled place per gamma-order at q = 9, pinned so that any change in
+# the order roots, signs or kernel offsets are tried in shows up here.
+_FIRST_SAMPLED_Q9 = [
+    (4, 4, [2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+     [0, 1, 0, 2, 2, 0, 1, 1, 1, 1, 1, 1]),
+    (8, 4, [2, 2, 1, 1, 2, 0, 0, 1, 0, 1, 2, 0],
+     [0, 2, 0, 2, 0, 2, 1, 1, 2, 2, 0, 2]),
+    (7, 9, [0, 1, 1, 1, 0, 2, 0, 2, 0, 0, 1, 0, 0, 0, 1, 1, 1, 1,
+            1, 0, 2, 1, 2, 1, 1, 2, 1, 1, 2, 0, 2, 1, 1, 0, 0, 1],
+     [0, 0, 1, 0, 0, 0, 0, 1, 0, 2, 1, 2, 2, 0, 2, 0, 1, 2,
+      0, 1, 2, 2, 2, 2, 0, 1, 2, 2, 2, 1, 0, 0, 2, 2, 1, 0]),
+]
+
+
+@pytest.mark.parametrize("order,max_rel_degree,a,b", _FIRST_SAMPLED_Q9)
+def test_first_sampled_place_pinned_q9(curve9, order, max_rel_degree, a, b):
+    p = curve9.sample_nonrational(order, count=1, max_rel_degree=max_rel_degree)[0]
+    assert (list(p.a.coeffs), list(p.b.coeffs)) == (a, b)
 
 
 def test_feasible_orders_exclude_rational(curve9):
