@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .f3linalg import LinearSolver
 from .factorint import factorize
-from .fields import FieldElement, FieldTower, make_tower, trace_p
+from .fields import MAX_DEGREE, FieldElement, FieldTower, make_tower, trace_p
 from .polyfamilies import p_order, r_order
 
 INFINITY = "infinity"
@@ -86,7 +86,7 @@ class Curve:
     """Context object: q = 3^t, the tower, and all place-level operations."""
 
     def __init__(self, t: int, tower: FieldTower | None = None,
-                 max_degree: int = 128):
+                 max_degree: int = MAX_DEGREE):
         if t < 2:
             raise ValueError("t must be >= 2 (t = 1 gives an elliptic curve "
                              "with infinite automorphism group)")

@@ -10,9 +10,20 @@ root extraction in a degree-n model of the subfield.
 
 Internally a coefficient vector is packed into a single Python int, 16
 bits per coefficient, so polynomial convolution rides on one bignum
-multiply.  All bounds are chosen so no 16-bit limb can overflow: a raw
-product limb is at most 4n < 2^16 for n <= 96, and callers accumulating
-raw products (the series module) stay below 2^16 as well.
+multiply.  Levels are capped at n <= MAX_DEGREE = 96.  All bounds are
+chosen so no 16-bit limb can overflow: a raw product limb is at most
+4n < 2^16, and callers accumulating raw products (the series module) stay
+below 2^16 as well.
+
+Canonicalising a packed value (every limb mod 3) is one SWAR ("SIMD
+within a register") pass over the whole int, not a loop over limbs.
+Since 4 = 1 (mod 3), replacing each limb by the sum of its low and high
+bits (split at an even position) keeps it mod 3; folding at 8 and then 4
+bits takes every limb below 2^16 down to at most 46.  For x <= 46,
+x // 3 = (43 x) >> 7, and 43 x < 2^11 stays inside its limb, so one
+multiply, shift and mask give every quotient at once, and x - 3 (x // 3)
+is the residue.  The masks span 2 * MAX_DEGREE - 1 limbs, the width of a
+raw product of two top-level elements; a wider value is rejected.
 """
 
 from __future__ import annotations
@@ -23,8 +34,20 @@ from typing import Iterable, Iterator
 from .factorint import factorize
 from .f3linalg import LinearSolver
 
+MAX_DEGREE = 96  # the largest tower level n
+
 _W = 16
 _MASK = (1 << _W) - 1
+
+
+def _repeat(limb: int, k: int) -> int:
+    """`limb` in each of the limbs 0..k-1."""
+    return limb * (((1 << (_W * k)) - 1) // _MASK)
+
+
+_CANON_BITS = _W * (2 * MAX_DEGREE - 1)
+_L8 = _repeat(0xFF, 2 * MAX_DEGREE - 1)
+_L4 = _repeat(0xF, 2 * MAX_DEGREE - 1)
 
 # ---------------------------------------------------------------------------
 # packed polynomials over F_3 (used for modulus search and reduction rows)
@@ -42,16 +65,14 @@ def _p3_unpack(p: int, k: int) -> tuple[int, ...]:
 
 
 def _p3_canon(p: int) -> int:
-    """Reduce every limb mod 3."""
-    acc = 0
-    i = 0
-    while p:
-        c = (p & _MASK) % 3
-        if c:
-            acc |= c << (_W * i)
-        p >>= _W
-        i += 1
-    return acc
+    """Reduce every limb mod 3 (the SWAR fold of the module docstring).
+
+    `p` must be non-negative and at most 2 * MAX_DEGREE - 1 limbs wide."""
+    if p < 0 or p.bit_length() > _CANON_BITS:
+        raise ValueError(f"packed value outside [0, 2^{_CANON_BITS})")
+    p = (p & _L8) + ((p >> 8) & _L8)    # limbs <= 510
+    p = (p & _L4) + ((p >> 4) & _L8)    # limbs <= 46
+    return p - 3 * (((43 * p) >> 7) & _L4)
 
 
 def _p3_deg(p: int) -> int:
@@ -317,7 +338,7 @@ class FieldLevel:
         self.tower = tower
         self.n = n
         self.modulus = modulus
-        self._threes = sum(3 << (_W * i) for i in range(n))
+        self._threes = _repeat(3, n)
         self._low_mask = (1 << (_W * n)) - 1
         # reduction rows: X^(n+j) mod modulus, j = 0 .. n-2
         rows = []
@@ -368,10 +389,14 @@ class FieldLevel:
     # -- arithmetic kernels --------------------------------------------------
 
     def reduce_raw(self, raw: int) -> int:
-        """Canonical packed value of a raw (unreduced) product/accumulation.
+        """Canonical packed value of a raw (unreduced) product/accumulation
+        of at most 2n - 1 limbs.
 
-        Input limbs may hold any value < 2^16 - 300 (room for the fold);
-        accumulated convolution sums stay far below that.
+        Each high limb is folded in as c * X^(n+j) mod modulus with c in
+        {1, 2}, adding at most 4 to a low limb per row, so input limbs
+        must stay below 2^16 - 4(n - 1); accumulated convolution sums stay
+        far below that.  The sum is canonicalised by the SWAR fold of
+        `_p3_canon`.
         """
         acc = raw & self._low_mask
         high = raw >> (_W * self.n)
@@ -441,7 +466,9 @@ class FieldTower:
 
     characteristic = 3
 
-    def __init__(self, max_degree: int = 96):
+    def __init__(self, max_degree: int = MAX_DEGREE):
+        if max_degree > MAX_DEGREE:
+            raise ValueError(f"max_degree {max_degree} exceeds the tower cap {MAX_DEGREE}")
         self.max_degree = max_degree
         self.levels: dict[int, FieldLevel] = {}
         self._emb: dict[tuple[int, int], _Embedding] = {}
@@ -668,7 +695,7 @@ def _eval_f3_poly(coeffs: tuple[int, ...], x: FieldElement) -> FieldElement:
 
 
 def make_tower(t: int, extra_degrees: Iterable[int] = (),
-               max_degree: int = 96) -> FieldTower:
+               max_degree: int = MAX_DEGREE) -> FieldTower:
     """Tower with levels for F_3, F_q, F_{q^2} (q = 3^t) and F_{q^(2d)} extras.
 
     t = 1 is rejected: the associated curve is elliptic and everything

@@ -26,10 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .curve import Curve, HermitianLift, Place
+from .errors import require
 from .fields import FieldElement, FieldLevel, _p3_canon
 from .polyfamilies import eval_chain
 
-_MAX_PREC = 200  # packed-limb accumulation bound: prec * 4n < 2^16
+_MAX_PREC = 200  # packed-limb accumulation bound: prec * 4n + 4(n-1) < 2^16
 
 
 class TruncatedSeries:
@@ -84,7 +85,8 @@ class TruncatedSeries:
         return FieldElement(self.level, self.pk[e - self.val])
 
     def leading(self) -> FieldElement:
-        assert self.pk, "zero series has no leading coefficient"
+        if not self.pk:
+            raise ValueError("zero series has no leading coefficient")
         return FieldElement(self.level, self.pk[0])
 
     # -- arithmetic -----------------------------------------------------------
@@ -105,7 +107,7 @@ class TruncatedSeries:
         for e in range(val, prec):
             a = self.pk[e - self.val] if 0 <= e - self.val < len(self.pk) else 0
             b = other.pk[e - other.val] if 0 <= e - other.val < len(other.pk) else 0
-            out.append(_canon_add(a, b))
+            out.append(_p3_canon(a + b))
         return TruncatedSeries(self.level, val, tuple(out), prec)
 
     def __neg__(self):
@@ -142,8 +144,8 @@ class TruncatedSeries:
             out.append(lvl.reduce_raw(acc) if acc else 0)
         res = TruncatedSeries(lvl, val, tuple(out), prec)
         # valuations add exactly in an integral domain
-        assert res.is_zero() or res.val == self.val + other.val, \
-            "product valuation must be the sum of valuations"
+        require(res.is_zero() or res.val == self.val + other.val,
+                "product valuation must be the sum of valuations")
         return res
 
     __rmul__ = __mul__
@@ -180,7 +182,8 @@ class TruncatedSeries:
     def truncate(self, prec: int) -> "TruncatedSeries":
         if prec == self.prec:
             return self
-        assert prec < self.prec, "cannot extend precision"
+        if prec > self.prec:
+            raise ValueError("cannot extend precision")
         if self.val >= prec:
             return TruncatedSeries.zero(self.level, prec)
         return TruncatedSeries(self.level, self.val,
@@ -201,10 +204,6 @@ class TruncatedSeries:
         head = ", ".join(f"T^{self.val + k}:{list(FieldElement(self.level, c).coeffs)}"
                          for k, c in enumerate(self.pk[:4]) if c)
         return f"Series[v={self.val}; {head}; O(T^{self.prec})]"
-
-
-def _canon_add(a: int, b: int) -> int:
-    return _p3_canon(a + b)
 
 
 def _canon_neg(a: int, lvl) -> int:
@@ -232,7 +231,7 @@ def expand_coordinates(curve: Curve, lift: HermitianLift, prec: int) -> Generato
     if prec < q + 1:
         raise ValueError(f"prec must be at least q+1 = {q + 1}")
     lvl = lift.level
-    if prec > _MAX_PREC or prec * 4 * lvl.n >= (1 << 16):
+    if prec > _MAX_PREC or prec * 4 * lvl.n + 4 * (lvl.n - 1) >= (1 << 16):
         raise ValueError(f"prec {prec} exceeds the safe accumulation bound")
     tower = curve.tower
     place = lift.place
@@ -257,9 +256,9 @@ def expand_coordinates(curve: Curve, lift: HermitianLift, prec: int) -> Generato
         if w_next == w:
             break
         w = w_next
-        assert steps <= _newton_budget(prec), "Newton iteration failed to settle"
+        require(steps <= _newton_budget(prec), "Newton iteration failed to settle")
     residual = w.pow3(t, prec) + w - rhs
-    assert residual.is_zero(), "cover equation not satisfied to precision"
+    require(residual.is_zero(), "cover equation not satisfied to precision")
 
     two_b = B + B
     # x - a = -(w + tau^2 + 2B tau), and x_a = -(x - a)/beta
@@ -268,14 +267,16 @@ def expand_coordinates(curve: Curve, lift: HermitianLift, prec: int) -> Generato
     minus_beta = -beta
     y_b = TruncatedSeries(lvl, 1, (lvl.one().pk, 0, minus_beta.pk), prec)
     y_from_tau = (tau - tau.cube().truncate(prec)).scale(pb.inverse())
-    assert y_from_tau == y_b, "closed form for y_b disagrees with the cover"
+    require(y_from_tau == y_b, "closed form for y_b disagrees with the cover")
     f0 = x_a - y_b
 
     one = lvl.one()
-    assert x_a.val == 1 and x_a.coefficient(1) == one and x_a.coefficient(2) == one
+    require(x_a.val == 1 and x_a.coefficient(1) == one and x_a.coefficient(2) == one,
+            "x_a must start T + T^2")
     for k in range(3, q):
-        assert x_a.coefficient(k).is_zero(), "x_a tail below T^q must vanish"
-    assert f0.val == 2 and f0.coefficient(2) == one and f0.coefficient(3) == beta
+        require(x_a.coefficient(k).is_zero(), "x_a tail below T^q must vanish")
+    require(f0.val == 2 and f0.coefficient(2) == one and f0.coefficient(3) == beta,
+            "f0 must start T^2 + beta T^3")
     return GeneratorBasis(lift, prec, beta, x_a, y_b, f0, steps)
 
 
@@ -291,21 +292,18 @@ def _newton_budget(prec: int) -> int:
 # the function chains
 
 
-def build_f_chain(curve: Curve, basis: GeneratorBasis,
-                  up_to: int) -> list[TruncatedSeries]:
+def build_f_chain(curve: Curve, basis: GeneratorBasis) -> list[TruncatedSeries]:
     """f_0..f_up_to with f_j = P_{j+1}(beta) T^(3j+2) + Q_{j+1}(beta) T^(3j+3)
     + O(T^q); pole bound of f_j is (j+1) q.
 
-    Requires up_to <= min(i, m-1) where i is the P-order of beta: the
-    recursion divides by P_{j-2}(beta), nonzero exactly for j <= i, and
-    the leading-term statement needs 3j+3 < q.
+    Always the whole chain, up_to = min(i, m-1) where i is the P-order of
+    beta: the recursion divides by P_{j-2}(beta), nonzero exactly for
+    j <= i, and the leading-term statement needs 3j+3 < q.
     """
-    place = basis.lift.place
-    i = place.place_class.i
-    assert i is not None, "f chain needs beta outside {0, 1}"
-    if up_to > min(i, curve.m - 1):
-        raise ValueError(f"f chain index {up_to} exceeds min(P-order, m-1) = "
-                         f"{min(i, curve.m - 1)}")
+    i = basis.lift.place.place_class.i
+    if i is None:
+        raise ValueError("f chain needs beta outside {0, 1}")
+    up_to = min(i, curve.m - 1)
     beta = basis.beta
     x_a, f0 = basis.x_a, basis.f0
     chain = [f0]
@@ -327,40 +325,38 @@ def build_f_chain(curve: Curve, basis: GeneratorBasis,
                 - (chain[1] * chain[j - 2]).scale(fam[j].p_val)
             fj = num.scale((denom_base * fam[j - 2].p_val).inverse())
             chain.append(fj)
-    _assert_f_valuations(curve, basis, chain, i)
+    _check_f_valuations(curve, chain, i)
     return chain
 
 
-def _assert_f_valuations(curve, basis, chain, i):
+def _check_f_valuations(curve, chain, i):
     m = curve.m
     for j, fj in enumerate(chain):
         if j <= min(i - 1, m - 1):
-            assert fj.val == 3 * j + 2, f"v(f_{j}) = {fj.val}, want {3 * j + 2}"
+            require(fj.val == 3 * j + 2, f"v(f_{j}) = {fj.val}, want {3 * j + 2}")
         elif j == i and i <= m - 1:
-            assert fj.val == 3 * i + 3, f"v(f_{i}) = {fj.val}, want {3 * i + 3}"
+            require(fj.val == 3 * i + 3, f"v(f_{i}) = {fj.val}, want {3 * i + 3}")
 
 
 def f_pole_bound(curve: Curve, j: int) -> int:
     return (j + 1) * curve.q
 
 
-def build_g_chain(curve: Curve, basis: GeneratorBasis, f_chain: list[TruncatedSeries],
-                  up_to: int) -> list[TruncatedSeries]:
+def build_g_chain(curve: Curve, basis: GeneratorBasis,
+                  f_chain: list[TruncatedSeries]) -> list[TruncatedSeries]:
     """g_0..g_up_to with g_l = R_{l+1}(beta) T^(3l+3) + P_{l+1}(beta) T^(3l+4)
     + O(T^q); pole bound of g_l is (3l+4) m.
 
-    Valid for up_to <= min(K, m-2) (K the R-order): v(g_l) = 3l+3 below K
-    and v(g_K) = 3K+4.  For generic places (K >= m-1) the cap is m-2.
+    Always the whole chain, up_to = min(K, m-2) (K the R-order): v(g_l) =
+    3l+3 below K and v(g_K) = 3K+4.  For generic places (K >= m-1) the
+    cap is m-2.
     """
-    place = basis.lift.place
-    cls = place.place_class
-    K = cls.K
-    assert K is not None
-    if up_to > min(K, curve.m - 2):
-        raise ValueError(f"g chain index {up_to} exceeds min(R-order, m-2) = "
-                         f"{min(K, curve.m - 2)}")
+    K = basis.lift.place.place_class.K
+    if K is None:
+        raise ValueError("g chain needs a place with an R-order")
+    up_to = min(K, curve.m - 2)
     if len(f_chain) < up_to + 1:
-        raise ValueError("f chain too short for requested g chain")
+        raise ValueError("f chain too short for the g chain")
     beta = basis.beta
     g = [basis.x_a * basis.x_a - basis.f0]
     fam = eval_chain(up_to + 1, beta)
@@ -370,7 +366,7 @@ def build_g_chain(curve: Curve, basis: GeneratorBasis, f_chain: list[TruncatedSe
         g.append(num.scale((fam[ell].p_val * beta).inverse()))
     for ell, gl in enumerate(g):
         want = 3 * ell + 4 if ell == K else 3 * ell + 3
-        assert gl.val == want, f"v(g_{ell}) = {gl.val}, want {want}"
+        require(gl.val == want, f"v(g_{ell}) = {gl.val}, want {want}")
     return g
 
 
@@ -396,10 +392,10 @@ def build_beta1_chain(curve: Curve, basis: GeneratorBasis,
         h.append(mult * h[j - 2] - h[j - 1])
     one = basis.x_a.level.one()
     for j, hj in enumerate(h):
-        assert hj.val == 3 * j + 2, f"v(h_{j}) = {hj.val}, want {3 * j + 2}"
-        assert hj.leading() == one
+        require(hj.val == 3 * j + 2, f"v(h_{j}) = {hj.val}, want {3 * j + 2}")
+        require(hj.leading() == one, f"h_{j} must lead with 1")
         if 3 * j + 3 < curve.q:  # the next coefficient is only pinned below T^q
-            assert hj.coefficient(3 * j + 3) == one
+            require(hj.coefficient(3 * j + 3) == one, f"h_{j}: T^{3 * j + 3} coefficient != 1")
     return h
 
 
@@ -432,6 +428,8 @@ class LocalData:
         self.basis = expand_coordinates(curve, self.lift, self.prec)
         self._f: list[TruncatedSeries] | None = None
         self._g: list[TruncatedSeries] | None = None
+        # product of each witness factor prefix, keyed by the ids of its series
+        self._products: dict[tuple[int, ...], TruncatedSeries] = {}
         self._fp_val = curve.q + 1 if place.degree == 1 else curve.q
 
     @property
@@ -439,29 +437,50 @@ class LocalData:
         return self.place.place_class
 
     def f_chain(self, up_to: int) -> list[TruncatedSeries]:
-        if self._f is None or len(self._f) <= up_to:
-            self._f = build_f_chain(self.curve, self.basis, up_to)
-        return self._f
+        """f_0..f_up_to.  The first call builds the chain once at its full
+        length min(i, m-1); every call slices that one chain."""
+        if self._f is None:
+            self._f = build_f_chain(self.curve, self.basis)
+        if up_to >= len(self._f):
+            raise ValueError(f"f chain index {up_to} exceeds min(P-order, m-1) = "
+                             f"{len(self._f) - 1}")
+        return self._f[:up_to + 1]
 
     def g_chain(self, up_to: int) -> list[TruncatedSeries]:
-        if self._g is None or len(self._g) <= up_to:
-            self.f_chain(max(min(up_to, self.curve.m - 2), 0))
-            self._g = build_g_chain(self.curve, self.basis, self._f, up_to)
-        return self._g
+        """g_0..g_up_to.  The first call builds the chain once at its full
+        length min(K, m-2); every call slices that one chain."""
+        if self._g is None:
+            self.f_chain(0)   # builds the whole f chain
+            self._g = build_g_chain(self.curve, self.basis, self._f)
+        if up_to >= len(self._g):
+            raise ValueError(f"g chain index {up_to} exceeds min(R-order, m-2) = "
+                             f"{len(self._g) - 1}")
+        return self._g[:up_to + 1]
 
     # -- witness assembly -----------------------------------------------------
 
     def _assemble(self, j: int, factors, label: str) -> TrackedFunction:
-        """F_P^j times the product of (series, pole_bound) factors."""
-        q, m = self.curve.q, self.curve.m
-        prod = None
-        pole = j * (q + 1)
+        """F_P^j times the product of (series, pole_bound) factors.
+
+        The product of every prefix of the factor list is memoised, keyed by
+        the identities of its series.  The factors are the basis and chain
+        series, which this object holds for its whole life and never
+        rebuilds, so one product serves every row j, and the hat functions
+        share their f_i powers.  The valuation is read from the product."""
+        pole = j * (self.curve.q + 1) + sum(bound for _, bound in factors)
+        prod, key = None, ()
+        for ser, _ in factors:
+            key += (id(ser),)
+            if prod is None:
+                prod = ser
+            else:
+                memo = self._products.get(key)
+                if memo is None:
+                    memo = self._products[key] = prod * ser
+                prod = memo
         sval = 0
-        for ser, bound in factors:
-            prod = ser if prod is None else prod * ser
-            pole += bound
         if prod is not None:
-            assert not prod.is_zero()
+            require(not prod.is_zero(), f"witness {label}: the series product vanishes")
             sval = prod.val
         v = j * self._fp_val + sval
         return TrackedFunction(self.place, j, sval, v, pole, label)
@@ -474,7 +493,6 @@ class LocalData:
         if not (0 <= j <= m - 1 and 1 <= k <= q - 2 - 3 * j):
             raise ValueError(f"(j,k)=({j},{k}) outside the generic gap index range")
         if j == m - 1:
-            assert k == 1
             w = self._assemble(j, [], f"F^{m - 1}")
         elif k == 1:
             w = self._assemble(j, [], f"F^{j}")
@@ -515,7 +533,8 @@ class LocalData:
         curve = self.curve
         q, m = curve.q, curve.m
         i, K = self.cls.i, self.cls.K
-        assert K is not None and K <= m - 2
+        if K is None or K > m - 2:
+            raise ValueError("special gap witnesses need R-order K <= m-2")
         in_ggen = 0 <= j <= m - 1 and 1 <= k <= q - 2 - 3 * j
         in_added = (j <= m - K - 2 and k == 3 * K + 5 + (m - K - 2 - j) * 3
                     and (m - K - 2 - j) % (i + 1) == 0) if k > q - 2 - 3 * j else False
@@ -568,7 +587,7 @@ class LocalData:
                 label_parts.append("f0")
         else:
             if r == 0:
-                assert c >= 1, "c = s = r = 0 is the k = 3K+4 case handled above"
+                # c = s = r = 0 is the k = 3K+4 case handled above, so c >= 1
                 fi_times(c - 1)
                 hat += [(fs[i - 1], f_pole_bound(curve, i - 1)),
                         (self.basis.f0, q), (self.basis.x_a, 2 * m)]
@@ -593,10 +612,10 @@ class LocalData:
     def _check_witness(self, w: TrackedFunction, gap: int):
         curve = self.curve
         cap = (curve.m - 1) * (curve.q + 2)
-        assert w.v_at_P == gap - 1, \
-            f"witness {w.label}: v = {w.v_at_P}, want {gap - 1}"
-        assert w.pole_bound <= cap, \
-            f"witness {w.label}: pole bound {w.pole_bound} > (m-1)(q+2) = {cap}"
+        require(w.v_at_P == gap - 1,
+                f"witness {w.label}: v = {w.v_at_P}, want {gap - 1}")
+        require(w.pole_bound <= cap,
+                f"witness {w.label}: pole bound {w.pole_bound} > (m-1)(q+2) = {cap}")
 
 
 # ---------------------------------------------------------------------------
@@ -628,6 +647,6 @@ def expand_x_at_beta_zero(curve: Curve, place: Place, prec: int) -> TruncatedSer
         if x_next == x:
             break
         x = x_next
-        assert steps <= _newton_budget(prec)
-    assert x.val == 2, f"v(x - a) = {x.val}, want 2"
+        require(steps <= _newton_budget(prec), "Newton iteration failed to settle")
+    require(x.val == 2, f"v(x - a) = {x.val}, want 2")
     return x

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from . import automorphisms
 from .curve import (BETA_ONE, BETA_ZERO, Curve, INFINITY, NONRATIONAL_GENERIC,
                     NONRATIONAL_SPECIAL, Place, RATIONAL_GENERAL)
+from .errors import require
 from .localseries import LocalData, expand_x_at_beta_zero
 from .semigroups import GapSet, NumericalSemigroup, is_cofinite_monoid
 
@@ -63,7 +64,7 @@ def generators_for(curve: Curve, place: Place) -> tuple[int, ...] | None:
         if i < m - 1:
             return ((q, q + 1) + tuple((q - 1) + j * (q - 2) for j in range(i))
                     + ((i + 1) * (q - 2),))
-        assert i in ((q - 1) // 2, q), f"high rational P-order {i} unexpected"
+        require(i in ((q - 1) // 2, q), f"high rational P-order {i} unexpected")
         return (q, q + 1) + tuple((q - 1) + j * (q - 2) for j in range(m))
     return None
 
@@ -80,7 +81,7 @@ def special_gap_indices(curve: Curve, i: int, K: int) -> set[tuple[int, int]]:
     for ell in range((m - K - 2) // (i + 1) + 1):
         j = m - K - 2 - ell * (i + 1)
         k = 3 * K + 4 + 3 * ell * (i + 1)
-        assert (j, k) in idx
+        require((j, k) in idx, f"diagonal index ({j}, {k}) is not a generic gap")
         idx.remove((j, k))
         idx.add((j, k + 1))
     return idx
@@ -131,8 +132,8 @@ def semigroup_at(curve: Curve, place: Place) -> SemigroupAssignment:
         gap_set = sg.gap_set()
         second = interval_gap_set(curve, place)
         if second is not None:
-            assert second.gaps == gap_set.gaps, \
-                "interval bookkeeping disagrees with reachability"
+            require(second.gaps == gap_set.gaps,
+                    "interval bookkeeping disagrees with reachability")
         tag = cls.kind if cls.i is None else f"{cls.kind}(i={cls.i})"
         assignment = SemigroupAssignment(place, tag, sg, gap_set)
     else:
@@ -140,13 +141,13 @@ def semigroup_at(curve: Curve, place: Place) -> SemigroupAssignment:
             gap_set = generic_gap_set(curve)
             tag = NONRATIONAL_GENERIC
         else:
-            assert cls.kind == NONRATIONAL_SPECIAL
+            require(cls.kind == NONRATIONAL_SPECIAL, f"unexpected class {cls.kind}")
             gap_set = special_gap_set(curve, cls.i, cls.K)
             tag = f"{NONRATIONAL_SPECIAL}(i={cls.i},K={cls.K})"
-        assert is_cofinite_monoid(gap_set), "gap set complement must be a monoid"
+        require(is_cofinite_monoid(gap_set), "gap set complement must be a monoid")
         assignment = SemigroupAssignment(place, tag, None, gap_set)
-    assert assignment.gap_set.genus == curve.genus, \
-        f"gap count {assignment.gap_set.genus} != genus {curve.genus}"
+    require(assignment.gap_set.genus == curve.genus,
+            f"gap count {assignment.gap_set.genus} != genus {curve.genus}")
     return assignment
 
 
@@ -172,7 +173,8 @@ def verify_nongaps(curve: Curve, assignment: SemigroupAssignment,
     q, m = curve.q, curve.m
     certs: list[CertEntry] = []
     sg = assignment.semigroup
-    assert sg is not None, "non-gap certificates apply to rational places"
+    if sg is None:
+        raise ValueError("non-gap certificates apply to rational places")
 
     def add(value, witness, v, method, numer_pole, denom_exp):
         ok = (denom_exp * (q + 1) - v == value) and numer_pole <= denom_exp * (q + 1)
@@ -185,12 +187,12 @@ def verify_nongaps(curve: Curve, assignment: SemigroupAssignment,
                                "fundamental-eq", True))
     elif cls.kind == BETA_ZERO:
         x = expand_x_at_beta_zero(curve, place, prec or (2 * q + 1))
-        assert x.val == 2
+        require(x.val == 2, f"v(x - a) = {x.val}, want 2")
         add(q - 1, "(x-a)/F", 2, "series", 2 * m, 1)
         add(q, "(y-b)/F", 1, "series", q, 1)
         add(q + 1, "1/F", 0, "fundamental-eq", 0, 1)
         x3 = x * x * x
-        assert x3.val == 6
+        require(x3.val == 6, f"v((x - a)^3) = {x3.val}, want 6")
         add(2 * q - 4, "(x-a)^3/F^2", 6, "series", 6 * m, 2)
     else:
         local = LocalData(curve, place, which_lift, prec)
@@ -215,8 +217,8 @@ def verify_nongaps(curve: Curve, assignment: SemigroupAssignment,
                     "series", (i + 1) * q, i + 1)
     by_value = {c.value for c in certs}
     for g in sg.generators:
-        assert g in by_value, f"generator {g} lacks a certificate"
-    assert all(c.verified for c in certs)
+        require(g in by_value, f"generator {g} lacks a certificate")
+    require(all(c.verified for c in certs), "a non-gap certificate failed")
     return certs
 
 
@@ -224,7 +226,8 @@ def verify_gaps(curve: Curve, assignment: SemigroupAssignment,
                 which_lift: int = 0, prec: int | None = None) -> list[CertEntry]:
     """A pole-bounded witness per claimed gap of a non-rational place."""
     place = assignment.place
-    assert place.degree > 1, "gap witnesses are for non-rational places"
+    if place.degree <= 1:
+        raise ValueError("gap witnesses are for non-rational places")
     local = LocalData(curve, place, which_lift, prec)
     q = curve.q
     certs = []
@@ -234,7 +237,7 @@ def verify_gaps(curve: Curve, assignment: SemigroupAssignment,
         ok = (w.v_at_P == gap - 1
               and w.pole_bound <= (curve.m - 1) * (curve.q + 2))
         certs.append(CertEntry(gap, w.label, w.v_at_P, "series", ok))
-    assert all(c.verified for c in certs)
+    require(all(c.verified for c in certs), "a gap certificate failed")
     return certs
 
 

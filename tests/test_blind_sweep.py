@@ -11,8 +11,14 @@ a wrong chain valuation or a wrong pole bound would all break the
 equality.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from charthree.errors import CertificateError
 from charthree.localseries import LocalData, f_pole_bound, g_pole_bound
 from charthree.weierstrass import semigroup_at, verify_gaps, verify_nongaps
 
@@ -84,5 +90,21 @@ def test_tampered_generators_are_rejected(curve9, places9):
     from charthree.semigroups import NumericalSemigroup
     assignment.semigroup = NumericalSemigroup.from_generators(
         tuple(assignment.semigroup.generators) + (7,))
-    with pytest.raises(AssertionError):
+    with pytest.raises(CertificateError, match="generator 7 lacks a certificate"):
         verify_nongaps(curve9, assignment)
+
+
+def test_tampered_claims_are_rejected_under_python_O():
+    """`python -O` strips assert statements; the certificate checks must
+    not depend on them."""
+    here = Path(__file__).resolve()
+    src = str(here.parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    tests = [f"{here}::test_tampered_gap_set_is_rejected",
+             f"{here}::test_tampered_generators_are_rejected"]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "2 passed" in proc.stdout

@@ -164,6 +164,15 @@ def test_verify_all_q27(capsys):
     assert len(classes) == 4
 
 
+def test_verify_all_q81(capsys):
+    code, out = run_cli(capsys, "verify", "--t", "4", "--q-cap", "81", "--scope", "all")
+    assert code == 0
+    rows = json.loads(out)["results"]
+    assert len(rows) == 46 and all(r["ok"] for r in rows)
+    census = next(r for r in rows if r["check"] == "census.count")
+    assert census["detail"].startswith("181522 places")
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["bogus-command"])

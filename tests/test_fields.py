@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from charthree.fields import (FieldTower, make_tower, mult_order, sqrt,
-                              trace_p, _p3_pack, _p3_gcd, _p3_deg)
+from charthree.curve import Curve
+from charthree.fields import (MAX_DEGREE, FieldTower, make_tower, mult_order, sqrt,
+                              trace_p, _p3_canon, _p3_pack, _p3_gcd, _p3_deg)
 
 
 def test_make_tower_levels():
@@ -18,10 +19,63 @@ def test_make_tower_rejects_t1():
         make_tower(1)
 
 
-def test_level_cap():
+def test_level_cap(curve9):
     tw = FieldTower(max_degree=10)
     with pytest.raises(ValueError, match="outside"):
         tw.ensure_level(12)
+    # one cap for the tower, make_tower and Curve
+    assert FieldTower().max_degree == make_tower(2).max_degree == MAX_DEGREE
+    assert curve9.tower.max_degree == MAX_DEGREE
+    with pytest.raises(ValueError, match="cap"):
+        FieldTower(max_degree=MAX_DEGREE + 1)
+    with pytest.raises(ValueError, match="cap"):
+        Curve(2, max_degree=MAX_DEGREE + 1)
+
+
+def _canon_by_limbs(p):
+    """The per-limb loop that `_p3_canon` replaced, kept as its reference."""
+    acc, i = 0, 0
+    while p:
+        c = (p & 0xFFFF) % 3
+        if c:
+            acc |= c << (16 * i)
+        p >>= 16
+        i += 1
+    return acc
+
+
+def _pack_limbs(limbs):
+    return sum(c << (16 * i) for i, c in enumerate(limbs))
+
+
+def test_p3_canon_matches_limb_loop():
+    cap = 2 * MAX_DEGREE - 1   # a raw product of two top-level elements
+    rng = random.Random(29)
+    edges = (0, 3, 0xFFFF)
+    for _ in range(1500):
+        k = rng.randint(1, cap)
+        uniform = [rng.randrange(1 << 16) for _ in range(k)]
+        mixed = [rng.choice(edges) if rng.randrange(2) else c for c in uniform]
+        for limbs in (uniform, mixed):
+            p = _pack_limbs(limbs)
+            assert _p3_canon(p) == _canon_by_limbs(p)
+    for c in edges:
+        p = _pack_limbs([c] * cap)
+        assert _p3_canon(p) == _canon_by_limbs(p)
+    # every limb value 0..0xFFFF, packed cap limbs at a time
+    values = list(range(1 << 16))
+    for start in range(0, len(values), cap):
+        p = _pack_limbs(values[start:start + cap])
+        assert _p3_canon(p) == _canon_by_limbs(p)
+
+
+def test_p3_canon_rejects_wide_or_negative_input():
+    cap = 2 * MAX_DEGREE - 1
+    assert _p3_canon((1 << (16 * cap)) - 1) == _canon_by_limbs((1 << (16 * cap)) - 1)
+    with pytest.raises(ValueError):
+        _p3_canon(1 << (16 * cap))
+    with pytest.raises(ValueError):
+        _p3_canon(-3)
 
 
 def test_moduli_irreducible_gcd_criterion(tower9):

@@ -2,10 +2,12 @@ import random
 
 import pytest
 
+import charthree.localseries as localseries
 from charthree.localseries import (LocalData, TruncatedSeries,
                                    build_beta1_chain, expand_coordinates,
                                    expand_x_at_beta_zero)
 from charthree.polyfamilies import eval_chain
+from charthree.weierstrass import CertEntry, semigroup_at, verify_gaps
 
 
 def series_from_ints(lvl, val, ints, prec):
@@ -55,7 +57,7 @@ def test_series_precision_rules(tower9):
     assert p.prec == min(2 + 8, 3 + 10)
     s = a + b
     assert s.prec == 8
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="cannot extend precision"):
         a.truncate(12)
 
 
@@ -234,3 +236,48 @@ def test_beta_zero_expansion(curve9, places9):
         break
     with pytest.raises(ValueError):
         expand_x_at_beta_zero(curve9, curve9.infinity(), 19)
+
+
+# -- chains built once, witness products shared ---------------------------------
+
+
+@pytest.fixture(scope="module")
+def gap_places(curve9, curve27):
+    """One sampled place per non-rational class at q = 27, and the q = 9
+    special place (3, 0)."""
+    out = [(curve9, curve9.sample_nonrational(4, count=1)[0])]
+    for order in curve27.feasible_gamma_orders():
+        out += [(curve27, p) for p in curve27.sample_nonrational(order, count=1)]
+    assert str(out[0][1].place_class) == "nonrational_special(i=3,K=0)"
+    assert len({str(p.place_class) for _, p in out[1:]}) == 4
+    return out
+
+
+def test_shared_products_match_fresh_witnesses(gap_places):
+    # verify_gaps shares one LocalData, its chains and its product memo
+    # across all gaps; a fresh LocalData per gap shares nothing
+    for curve, place in gap_places:
+        certs = verify_gaps(curve, semigroup_at(curve, place))
+        assert len(certs) == curve.genus
+        for cert in certs:
+            w = LocalData(curve, place).gap_witness(*divmod(cert.value, curve.q))
+            assert cert == CertEntry(cert.value, w.label, w.v_at_P, "series", True)
+
+
+def test_verify_gaps_builds_each_chain_once(gap_places, monkeypatch):
+    builds = {"f": 0, "g": 0}
+
+    def counting(name, build):
+        def wrapper(*args, **kwargs):
+            builds[name] += 1
+            return build(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(localseries, "build_f_chain",
+                        counting("f", localseries.build_f_chain))
+    monkeypatch.setattr(localseries, "build_g_chain",
+                        counting("g", localseries.build_g_chain))
+    for curve, place in gap_places:
+        builds.update(f=0, g=0)
+        verify_gaps(curve, semigroup_at(curve, place))   # one LocalData
+        assert builds == {"f": 1, "g": 1}, place.place_class
