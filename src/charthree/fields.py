@@ -3,17 +3,19 @@
 Elements are coefficient vectors over F_3 in the polynomial basis of a
 fixed monic irreducible modulus per degree.  The modulus of each level is
 the lexicographically smallest monic irreducible over F_3 (coefficients
-compared constant term first), and compatibility between levels n | N is
-supplied by explicitly computed embeddings: a root of the degree-n
-modulus inside the degree-N field, found by subfield linear algebra plus
-root extraction in a degree-n model of the subfield.
+compared constant term first), found by a scan with Ben-Or's test: f of
+degree n is irreducible iff gcd(X^(3^k) - X, f) = 1 for k = 1 .. n/2.
+Compatibility between levels n | N is supplied by explicitly computed
+embeddings: a root of the degree-n modulus inside the degree-N field,
+found by subfield linear algebra plus a Cantor-Zassenhaus root search in
+a degree-n model of the subfield, on packed coefficient lists.
 
 Internally a coefficient vector is packed into a single Python int, 16
 bits per coefficient, so polynomial convolution rides on one bignum
 multiply.  Levels are capped at n <= MAX_DEGREE = 96.  All bounds are
 chosen so no 16-bit limb can overflow: a raw product limb is at most
-4n < 2^16, and callers accumulating raw products (the series module) stay
-below 2^16 as well.
+4n < 2^16, and callers accumulating raw products (the series module and
+the root search) stay below 2^16 as well.
 
 Canonicalising a packed value (every limb mod 3) is one SWAR ("SIMD
 within a register") pass over the whole int, not a loop over limbs.
@@ -31,6 +33,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator
 
+from .errors import require
 from .factorint import factorize
 from .f3linalg import LinearSolver
 
@@ -158,29 +161,15 @@ def _l_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
     return _l_trim(q), a
 
 
-def _p3_eval_int(f: int, df: int, c: int) -> int:
-    acc = 0
-    for k in range(df, -1, -1):
-        acc = (acc * c + ((f >> (_W * k)) & _MASK)) % 3
-    return acc
-
-
 def _p3_is_irreducible(f: int, n: int) -> bool:
-    if n == 1:
-        return True
-    if _p3_eval_int(f, n, 0) == 0 or _p3_eval_int(f, n, 1) == 0 \
-            or _p3_eval_int(f, n, 2) == 0:
-        return False
-    checkpoints = {n // p for p in factorize(n)}
+    """Ben-Or's test for monic f of degree n: a reducible f has a factor
+    of degree k <= n/2, which divides gcd(X^(3^k) - X, f)."""
     h = _X_PACKED
-    for k in range(1, n + 1):
-        h2 = _p3_rem(_p3_mul(h, h), f, n)
-        h = _p3_rem(_p3_mul(h2, h), f, n)
-        if k in checkpoints:
-            diff = _p3_canon(h + 2 * _X_PACKED)
-            if _p3_deg(_p3_gcd(diff, f)) > 0:
-                return False
-    return h == _X_PACKED
+    for _ in range(n // 2):
+        h = _p3_rem(_p3_mul(_p3_rem(_p3_mul(h, h), f, n), h), f, n)
+        if _p3_deg(_p3_gcd(_p3_canon(h + 2 * _X_PACKED), f)) > 0:
+            return False
+    return True
 
 
 def _lex_smallest_irreducible(n: int) -> tuple[int, ...]:
@@ -334,7 +323,8 @@ class FieldLevel:
                  modulus: tuple[int, ...] | None = None):
         if modulus is None:
             modulus = _lex_smallest_irreducible(n)
-        assert len(modulus) == n + 1 and modulus[n] == 1
+        if len(modulus) != n + 1 or modulus[n] != 1:
+            raise ValueError(f"modulus of degree {n} must be monic with {n + 1} coefficients")
         self.tower = tower
         self.n = n
         self.modulus = modulus
@@ -371,7 +361,8 @@ class FieldLevel:
 
     def basis_element(self, j: int) -> FieldElement:
         """The class of X^j, 0 <= j < n."""
-        assert 0 <= j < self.n
+        if not 0 <= j < self.n:
+            raise ValueError(f"basis index {j} outside [0, {self.n})")
         return FieldElement(self, 1 << (_W * j))
 
     def from_int(self, c: int) -> FieldElement:
@@ -525,46 +516,37 @@ class FieldTower:
             for _ in range(n - 1):
                 acc = acc * root
                 images.append(acc.pk)
-        rows = [[0] * n for _ in range(N)]
-        for j, img in enumerate(images):
-            for i, c in enumerate(_p3_unpack(img, N)):
-                rows[i][j] = c
-        emb = _Embedding(images, LinearSolver(rows))
+        emb = _Embedding(images, LinearSolver(_column_matrix(images, N)))
         self._emb[key] = emb
         return emb
 
     def _find_submodulus_root(self, lvl_n: FieldLevel, lvl_N: FieldLevel) -> FieldElement:
-        """A root of lvl_n.modulus inside lvl_N (deterministic choice)."""
-        n, N = lvl_n.n, lvl_N.n
-        # subfield of lvl_N fixed by Frobenius^n, as kernel of (x -> x^(3^n)) - id
-        rows = [[0] * N for _ in range(N)]
-        for j in range(N):
-            bj = FieldElement(lvl_N, 1 << (_W * j)) if j else lvl_N.one()
-            img = bj.pow3(n)
-            for i, c in enumerate(img.coeffs):
-                rows[i][j] = c
-            rows[j][j] = (rows[j][j] - 1) % 3
-        kernel = LinearSolver(rows).kernel_basis()
-        assert len(kernel) == n, "subfield dimension mismatch"
+        """A root of lvl_n.modulus inside lvl_N (deterministic choice).
+
+        The degree-n subfield of lvl_N is the kernel of x -> x^(3^n) - x.
+        The first kernel combination that generates it has minimal
+        polynomial `minpoly`; a root of lvl_n.modulus is found in the model
+        F_3[z]/(minpoly) by the packed Cantor-Zassenhaus search `_find_root`
+        and mapped back through the generator's powers.
+        """
+        n = lvl_n.n
+        kernel = LinearSolver(_frobenius_rows(lvl_N, n)).kernel_basis()
+        require(len(kernel) == n, "subfield dimension mismatch")
         kelems = [lvl_N.element(v) for v in kernel]
-        gen_elem, powers = self._subfield_generator(kelems, lvl_N, n)
-        minpoly = self._minpoly(gen_elem, powers, n)
+        gen_elem, powers, solver = self._subfield_generator(kelems, lvl_N, n)
+        minpoly = _minpoly(powers, solver)
         if minpoly == lvl_n.modulus:
             return gen_elem
-        # find a root of lvl_n.modulus in the abstract model F_3[z]/(minpoly)
-        model = FieldLevel(None, n, minpoly)
-        target = [model.from_int(c) for c in lvl_n.modulus]
-        rho = _poly_find_root(target, model)
-        acc = lvl_N.zero()
-        for k, c in enumerate(rho.coeffs):
-            if c:
-                acc = acc + c * powers[k]
-        root = acc
-        assert _eval_f3_poly(lvl_n.modulus, root).is_zero(), "embedding root check failed"
+        rho = _find_root(lvl_n.modulus, FieldLevel(None, n, minpoly))
+        acc = sum(c * powers[k].pk for k, c in enumerate(_p3_unpack(rho, n)))
+        root = FieldElement(lvl_N, _p3_canon(acc))
+        require(_eval_f3_poly(lvl_n.modulus, root).is_zero(), "embedding root check failed")
         return root
 
     def _subfield_generator(self, kelems, lvl_N, n):
-        """First kernel combination whose powers span an n-dimensional space."""
+        """First kernel combination whose powers span an n-dimensional space.
+
+        Returns it, its powers 0..n and the rank-n solver over powers 0..n-1."""
         candidates = itertools.chain(
             kelems,
             (a + b for a, b in itertools.combinations(kelems, 2)),
@@ -574,24 +556,10 @@ class FieldTower:
             powers = [lvl_N.one()]
             for _ in range(n):
                 powers.append(powers[-1] * cand)
-            rows = [[0] * n for _ in range(lvl_N.n)]
-            for j in range(n):
-                for i, c in enumerate(powers[j].coeffs):
-                    rows[i][j] = c
-            solver = LinearSolver(rows)
+            solver = LinearSolver(_column_matrix([p.pk for p in powers[:n]], lvl_N.n))
             if solver.rank == n:
-                return cand, powers
+                return cand, powers, solver
         raise ArithmeticError("no subfield generator found")
-
-    def _minpoly(self, elem, powers, n) -> tuple[int, ...]:
-        lvl = elem.level
-        rows = [[0] * n for _ in range(lvl.n)]
-        for j in range(n):
-            for i, c in enumerate(powers[j].coeffs):
-                rows[i][j] = c
-        sol = LinearSolver(rows).solve(list(powers[n].coeffs))
-        assert sol is not None
-        return tuple((-c) % 3 for c in sol) + (1,)
 
     # -- factored group orders ------------------------------------------------
 
@@ -602,85 +570,116 @@ class FieldTower:
 
 
 # ---------------------------------------------------------------------------
-# generic dense polynomial helpers over a FieldLevel (for root finding)
+# subfields and root finding (for embeddings)
 
 
-def _poly_trim(p: list[FieldElement]) -> list[FieldElement]:
-    while p and p[-1].is_zero():
-        p.pop()
-    return p
+def _frobenius_rows(lvl: FieldLevel, n: int) -> list[list[int]]:
+    """Matrix of x -> x^(3^n) - x in the basis X^j of lvl.
+
+    Column j is (X^j)^(3^n) - X^j = y^j - X^j with y = X^(3^n), so one
+    Frobenius power and N - 1 products give every column."""
+    y = lvl.gen().pow3(n)
+    images = [lvl.one()]
+    for _ in range(lvl.n - 1):
+        images.append(images[-1] * y)
+    return _column_matrix([(img - lvl.basis_element(j)).pk for j, img in enumerate(images)],
+                          lvl.n)
 
 
-def _poly_mul(a, b, lvl):
-    if not a or not b:
-        return []
-    out = [lvl.zero()] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai.is_zero():
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] = out[i + j] + ai * bj
-    return _poly_trim(out)
+def _column_matrix(columns: list[int], nrows: int) -> list[list[int]]:
+    """Rows of the F_3 matrix whose column j is the packed vector columns[j]."""
+    return [list(row) for row in zip(*(_p3_unpack(c, nrows) for c in columns))]
 
 
-def _poly_divmod(a, b, lvl):
-    a = a[:]
-    db, lb = len(b) - 1, b[-1]
-    inv_lb = lb.inverse()
-    q = [lvl.zero()] * max(0, len(a) - db)
-    while len(a) - 1 >= db and a:
-        lead = a[-1] * inv_lb
-        shift = len(a) - 1 - db
-        q[shift] = lead
-        for i in range(db + 1):
-            a[shift + i] = a[shift + i] - lead * b[i]
-        _poly_trim(a)
-    return _poly_trim(q), a
+def _minpoly(powers: list[FieldElement], solver: LinearSolver) -> tuple[int, ...]:
+    """Minimal polynomial of powers[1], given its powers 0..n and the
+    solver over powers 0..n-1."""
+    sol = solver.solve(list(powers[-1].coeffs))
+    require(sol is not None, "minimal polynomial solve failed")
+    return tuple((-c) % 3 for c in sol) + (1,)
 
 
-def _poly_mulmod(a, b, mod, lvl):
-    return _poly_divmod(_poly_mul(a, b, lvl), mod, lvl)[1]
+def _find_root(f: tuple[int, ...], model: FieldLevel) -> int:
+    """Packed root in `model` of the monic F_3 polynomial f, all of whose
+    roots lie in `model` (Cantor-Zassenhaus, deterministic).
 
+    For delta = 0, 1, 2, z, ... (`iter_elements` order) the factor g of f
+    still to split is cut by gcd((Y + delta)^((3^n - 1)/2) - 1, g), keeping
+    the smaller side, until g is linear.
 
-def _poly_powmod(a, e: int, mod, lvl):
-    result = [lvl.one()]
-    base = _poly_divmod(a, mod, lvl)[1]
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, base, mod, lvl)
-        base = _poly_mulmod(base, base, mod, lvl)
-        e >>= 1
-    return result
+    A polynomial is a list of canonical packed coefficients, lowest degree
+    first, with no zero top coefficient.  For products the coefficients are
+    Kronecker-packed into slots of 2n - 1 limbs, so one bignum multiply
+    gives every raw coefficient product; the remainder by a monic g then
+    adds (-c) * G, G = g without its leading 1, for each top coefficient c
+    in turn, and `model.reduce_raw` canonicalises a slot when it is read.
+    With m = deg f, a slot limb collects at most m raw products and m
+    remainder terms of at most 4n each, so it stays at most 8nm + 2; this
+    must be below the 2^16 - 4(n - 1) that `reduce_raw` accepts.
+    """
+    n, m = model.n, len(f) - 1
+    if 8 * n * m + 2 >= (1 << _W) - 4 * (n - 1):
+        raise ValueError(f"a degree-{m} root search over degree {n} overflows 16-bit limbs")
+    width = _W * (2 * n - 1)
+    slot = (1 << width) - 1
+    reduce = model.reduce_raw
 
+    def pack(a):
+        acc = 0
+        for c in reversed(a):
+            acc = (acc << width) | c
+        return acc
 
-def _poly_gcd(a, b, lvl):
-    a, b = a[:], b[:]
-    while b:
-        a, b = b, _poly_divmod(a, b, lvl)[1]
-    if a:
-        inv = a[-1].inverse()
-        a = [c * inv for c in a]
-    return a
+    def trim(a):
+        while a and not a[-1]:
+            a.pop()
+        return a
 
+    def divmod_packed(acc, top, g):
+        """Quotient and remainder by monic g of the slots 0..top of acc."""
+        dg = len(g) - 1
+        G = pack(g[:-1])
+        q = [0] * (top - dg + 1)
+        for k in range(top, dg - 1, -1):
+            c = reduce((acc >> (width * k)) & slot)
+            if c:
+                q[k - dg] = c
+                acc += (_p3_canon(2 * c) * G) << (width * (k - dg))
+        r = [reduce((acc >> (width * k)) & slot) for k in range(min(dg, top + 1))]
+        return trim(q), trim(r)
 
-def _poly_find_root(f: list[FieldElement], lvl: FieldLevel) -> FieldElement:
-    """One root of f, all of whose roots lie in lvl (Cantor-Zassenhaus)."""
-    g = f[:]
-    inv = g[-1].inverse()
-    g = [c * inv for c in g]
-    half = (lvl.order() - 1) // 2
-    deltas = lvl.iter_elements()
-    while len(g) - 1 > 1:
-        delta = next(deltas)
-        shifted = [delta, lvl.one()]  # Y + delta
-        h = _poly_powmod(shifted, half, g, lvl)
-        h = _poly_trim([(h[0] - 1 if h else -lvl.one())] + h[1:])
-        d = _poly_gcd(h, g, lvl)
-        if 0 < len(d) - 1 < len(g) - 1:
-            other = _poly_divmod(g, d, lvl)[0]
+    def mulmod(a, b, g):
+        return divmod_packed(pack(a) * pack(b), len(a) + len(b) - 2, g)[1]
+
+    def monic(a):
+        if a[-1] == 1:
+            return a
+        inv = model.inv_packed(a[-1])
+        return [model.mul_packed(c, inv) for c in a]
+
+    def gcd(a, b):  # a monic
+        while b:
+            b = monic(b)
+            a, b = b, divmod_packed(pack(a), len(a) - 1, b)[1]
+        return a
+
+    g = list(f)
+    bits = bin((model.order() - 1) // 2)[3:]
+    deltas = model.iter_elements()
+    while len(g) > 2:
+        base = [next(deltas).pk, 1]  # Y + delta
+        h = base
+        for bit in bits:
+            h = mulmod(h, h, g)
+            if bit == "1":
+                h = mulmod(h, base, g)
+        h = trim([_p3_canon(h[0] + 2) if h else 2] + h[1:])  # h - 1
+        d = gcd(g, h)
+        if 1 < len(d) < len(g):
+            other = divmod_packed(pack(g), len(g) - 1, d)[0]
             g = d if len(d) <= len(other) else other
-    assert len(g) == 2
-    return -g[0] / g[1]
+    require(len(g) == 2, "root search did not end on a linear factor")
+    return _p3_canon(2 * g[0])
 
 
 def _eval_f3_poly(coeffs: tuple[int, ...], x: FieldElement) -> FieldElement:
@@ -781,13 +780,13 @@ def _tonelli(x: FieldElement) -> FieldElement:
         while t2 != one:
             t2 = t2 * t2
             i += 1
-            assert i < m
+            require(i < m, "Tonelli-Shanks: x is not a square")
         b = c ** (2 ** (m - i - 1))
         m = i
         c = b * b
         t = t * c
         r = r * b
-    assert r * r == x
+    require(r * r == x, "Tonelli-Shanks root check failed")
     return r
 
 

@@ -1,10 +1,18 @@
+import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import charthree.fields as fields
 from charthree.curve import Curve
-from charthree.fields import (MAX_DEGREE, FieldTower, make_tower, mult_order, sqrt,
-                              trace_p, _p3_canon, _p3_pack, _p3_gcd, _p3_deg)
+from charthree.errors import CertificateError
+from charthree.factorint import factorize
+from charthree.fields import (MAX_DEGREE, FieldLevel, FieldTower, make_tower, mult_order,
+                              sqrt, trace_p, _p3_canon, _p3_pack, _p3_gcd, _p3_deg)
 
 
 def test_make_tower_levels():
@@ -224,3 +232,208 @@ def test_mult_order(tower9):
     assert found_generator
     with pytest.raises(ValueError):
         mult_order(L4.zero())
+
+
+# -- the modulus search: Ben-Or against the Rabin test it replaced ----------
+
+def _rabin_reference(f, n):
+    """The Rabin test (F_3-root pre-check, then gcds at n/p and
+    X^(3^n) = X) that Ben-Or's test replaced, kept as its reference."""
+    from charthree.fields import _X_PACKED, _p3_mul, _p3_rem
+
+    def at(c):
+        acc = 0
+        for k in range(n, -1, -1):
+            acc = (acc * c + ((f >> (16 * k)) & 0xFFFF)) % 3
+        return acc
+
+    if n == 1:
+        return True
+    if at(0) == 0 or at(1) == 0 or at(2) == 0:
+        return False
+    checkpoints = {n // p for p in factorize(n)}
+    h = _X_PACKED
+    for k in range(1, n + 1):
+        h = _p3_rem(_p3_mul(_p3_rem(_p3_mul(h, h), f, n), h), f, n)
+        if k in checkpoints and _p3_deg(_p3_gcd(_p3_canon(h + 2 * _X_PACKED), f)) > 0:
+            return False
+    return h == _X_PACKED
+
+
+def _monic_polys(n):
+    for low in itertools.product(range(3), repeat=n):
+        yield _p3_pack(low + (1,))
+
+
+def test_ben_or_matches_rabin_reference():
+    for n in range(1, 7):
+        for f in _monic_polys(n):
+            assert fields._p3_is_irreducible(f, n) == _rabin_reference(f, n), (n, f)
+
+
+def test_irreducible_counts_match_gauss_formula():
+    def mobius(d):
+        fact = factorize(d)
+        return 0 if any(e > 1 for e in fact.values()) else (-1) ** len(fact)
+
+    for n in range(1, 8):
+        expected = sum(mobius(d) * 3 ** (n // d) for d in range(1, n + 1) if n % d == 0) // n
+        assert sum(fields._p3_is_irreducible(f, n) for f in _monic_polys(n)) == expected
+
+
+def test_lex_smallest_moduli_match_rabin_scan(monkeypatch):
+    degrees = list(range(1, 25)) + [48, 72, 96]
+    moduli = {n: fields._lex_smallest_irreducible(n) for n in degrees}
+    monkeypatch.setattr(fields, "_p3_is_irreducible", _rabin_reference)
+    for n in degrees:
+        assert moduli[n] == fields._lex_smallest_irreducible(n), n
+
+
+# -- the embedding: packed root search and Frobenius rows against references
+
+def _ref_trim(p):
+    while p and p[-1].is_zero():
+        p.pop()
+    return p
+
+
+def _ref_mul(a, b, lvl):
+    if not a or not b:
+        return []
+    out = [lvl.zero()] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = out[i + j] + ai * bj
+    return _ref_trim(out)
+
+
+def _ref_divmod(a, b, lvl):
+    a = a[:]
+    db, inv_lb = len(b) - 1, b[-1].inverse()
+    q = [lvl.zero()] * max(0, len(a) - db)
+    while len(a) - 1 >= db and a:
+        lead = a[-1] * inv_lb
+        shift = len(a) - 1 - db
+        q[shift] = lead
+        for i in range(db + 1):
+            a[shift + i] = a[shift + i] - lead * b[i]
+        _ref_trim(a)
+    return _ref_trim(q), a
+
+
+def _ref_powmod(a, e, mod, lvl):
+    result, base = [lvl.one()], _ref_divmod(a, mod, lvl)[1]
+    while e:
+        if e & 1:
+            result = _ref_divmod(_ref_mul(result, base, lvl), mod, lvl)[1]
+        base = _ref_divmod(_ref_mul(base, base, lvl), mod, lvl)[1]
+        e >>= 1
+    return result
+
+
+def _ref_gcd(a, b, lvl):
+    while b:
+        a, b = b, _ref_divmod(a, b, lvl)[1]
+    inv = a[-1].inverse()
+    return [c * inv for c in a]
+
+
+def _ref_find_root(f, lvl):
+    """Cantor-Zassenhaus on lists of `FieldElement`, the root search that
+    the packed one replaced, kept as its reference."""
+    g = [lvl.from_int(c) for c in f]
+    half = (lvl.order() - 1) // 2
+    deltas = lvl.iter_elements()
+    while len(g) > 2:
+        h = _ref_powmod([next(deltas), lvl.one()], half, g, lvl)
+        h = _ref_trim([(h[0] - 1 if h else -lvl.one())] + h[1:])
+        d = _ref_gcd(h, g, lvl)
+        if 2 <= len(d) < len(g):
+            other = _ref_divmod(g, d, lvl)[0]
+            g = d if len(d) <= len(other) else other
+    return -g[0] / g[1]
+
+
+def test_packed_root_search_matches_fieldelement_reference(monkeypatch):
+    calls = []
+    find_root = fields._find_root
+
+    def recording(f, model):
+        root = find_root(f, model)
+        calls.append((f, model, root))
+        return root
+
+    monkeypatch.setattr(fields, "_find_root", recording)
+    tw = FieldTower()
+    for n, N in ((8, 16), (8, 24), (12, 24), (16, 48), (24, 72)):
+        calls.clear()
+        tw._embedding(n, N)
+        assert len(calls) == 1, (n, N)     # the generator's minpoly is not the modulus
+        f, model, root = calls[0]
+        assert model.n == n and f == tw.level(n).modulus
+        assert root == _ref_find_root(f, model).pk, (n, N)
+
+
+def test_frobenius_rows_match_per_basis_pow3():
+    for n, N in ((4, 12), (8, 24)):
+        lvl = FieldTower().level(N)
+        expected = [[0] * N for _ in range(N)]
+        for j in range(N):
+            img = lvl.basis_element(j).pow3(n) - lvl.basis_element(j)
+            for i, c in enumerate(img.coeffs):
+                expected[i][j] = c
+        assert fields._frobenius_rows(lvl, n) == expected
+
+
+def test_root_search_rejects_slot_overflow():
+    # 8 * n * m + 2 must stay below 2^16 - 4(n - 1): at n = 4, m <= 2047
+    model = FieldTower().level(4)
+    with pytest.raises(ValueError, match="overflows"):
+        fields._find_root((1,) * 2049, model)
+    assert fields._find_root((0, 1), model) == 0
+
+
+def test_level_preconditions_raise():
+    with pytest.raises(ValueError, match="monic"):
+        FieldLevel(None, 2, (1, 0, 2))
+    with pytest.raises(ValueError, match="monic"):
+        FieldLevel(None, 2, (1, 1))
+    with pytest.raises(ValueError, match="basis index"):
+        FieldTower().level(4).basis_element(4)
+
+
+def test_embedding_rejects_a_non_root(monkeypatch):
+    calls = []
+
+    def wrong(f, model):
+        calls.append(model.n)
+        return 0
+
+    monkeypatch.setattr(fields, "_find_root", wrong)
+    with pytest.raises(CertificateError, match="embedding root check failed"):
+        FieldTower()._embedding(4, 8)
+    assert calls == [4]
+
+
+_NON_ROOT_SCRIPT = """
+import sys
+import charthree.fields as fields
+from charthree.errors import CertificateError
+fields._find_root = lambda f, model: 0
+try:
+    fields.FieldTower()._embedding(4, 8)
+except CertificateError as exc:
+    print("optimize", sys.flags.optimize, "rejected:", exc)
+"""
+
+
+def test_embedding_rejects_a_non_root_under_python_O():
+    """`python -O` strips assert statements; the embedding root check must
+    not depend on them."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", _NON_ROOT_SCRIPT],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "optimize 1 rejected: embedding root check failed"

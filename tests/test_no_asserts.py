@@ -1,0 +1,16 @@
+"""The certification path must survive `python -O`, which strips `assert`
+statements: the modules on it hold none."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "charthree"
+
+
+@pytest.mark.parametrize("module", ["fields.py", "localseries.py", "weierstrass.py"])
+def test_module_has_no_assert(module):
+    tree = ast.parse((SRC / module).read_text(), filename=module)
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not lines, f"{module}: assert statements at lines {lines}"
