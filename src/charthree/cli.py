@@ -205,6 +205,8 @@ def _resolve_place(curve: Curve, args) -> Place:
                               f"{args.beta_order} at degree <= {args.max_degree}")
         return places[0]
     if args.klass is not None:
+        if args.index < 0:
+            raise SystemExit2(f"--index must be >= 0, got {args.index}")
         want = args.klass.replace("-", "_")
         matches = [p for p in curve.enumerate_rational()
                    if p.place_class.kind == want]
@@ -237,6 +239,9 @@ def cmd_semigroup(args) -> int:
 
 
 def cmd_polyfam(args) -> int:
+    if not 0 <= args.max_i <= polyfamilies.SYMBOLIC_MAX_I:
+        raise SystemExit2(f"--max-i must be in [0, {polyfamilies.SYMBOLIC_MAX_I}], "
+                          f"got {args.max_i}")
     curve = _make_curve(args)
     rng = random.Random(args.seed)
     lvl = curve.base
@@ -298,13 +303,17 @@ def cmd_verify(args) -> int:
         if not ok:
             failed = True
 
-    def run(name, fn, detail=""):
+    def attempt(name, fn, *fn_args, **fn_kwargs):
+        """(True, fn(...)), or (False, None) after an ok: false row."""
         try:
-            fn()
+            return True, fn(*fn_args, **fn_kwargs)
         except (AssertionError, ArithmeticError, ValueError) as exc:
             record(name, False, str(exc))
-        else:
-            record(name, True, detail)
+            return False, None
+
+    def run(name, fn, *fn_args):
+        if attempt(name, fn, *fn_args)[0]:
+            record(name, True)
 
     scope = args.scope
     if scope in ("polyfam", "all"):
@@ -341,43 +350,45 @@ def cmd_verify(args) -> int:
 
     if scope in ("valuations", "all"):
         from .localseries import LocalData, build_beta1_chain
-        for tag, p in sorted(reps.items()):
-            if p.is_infinity() or p.beta.is_zero():
-                continue
+
+        def rational_chain(p):
             local = LocalData(curve, p, prec=args.prec)
             if p.place_class.kind == "beta_one":
-                run(f"valuations[{tag}]",
-                    lambda l=local: build_beta1_chain(curve, l.basis, curve.m - 1))
+                build_beta1_chain(curve, local.basis, curve.m - 1)
             else:
-                i = p.place_class.i
-                run(f"valuations[{tag}]",
-                    lambda l=local, i=i: l.f_chain(min(i, curve.m - 1)))
+                local.f_chain(min(p.place_class.i, curve.m - 1))
+
+        def sampled_chain(p):
+            LocalData(curve, p, prec=args.prec).g_chain(min(p.place_class.K, curve.m - 2))
+
+        for tag, p in sorted(reps.items()):
+            if not (p.is_infinity() or p.beta.is_zero()):
+                run(f"valuations[{tag}]", rational_chain, p)
         for p in samples:
-            local = LocalData(curve, p, prec=args.prec)
-            K = p.place_class.K
-            run(f"valuations[{p.place_class}]",
-                lambda l=local, K=K: l.g_chain(min(K, curve.m - 2)))
+            run(f"valuations[{p.place_class}]", sampled_chain, p)
 
     if scope in ("semigroups", "all"):
-        def cert_rows(certs):
-            return [{"value": c.value, "witness": c.witness, "v_at_P": c.v_at_P,
+        def certify(name, verify, assignment, noun):
+            ok, certs = attempt(name, verify, curve, assignment, prec=args.prec)
+            if ok:
+                record(name, all(c.verified for c in certs), f"{len(certs)} {noun}")
+                results[-1]["certificates"] = [
+                    {"value": c.value, "witness": c.witness, "v_at_P": c.v_at_P,
                      "method": c.method, "ok": c.verified} for c in certs]
 
         for tag, p in sorted(reps.items()):
-            assignment = semigroup_at(curve, p)
-            record(f"semigroup.genus[{tag}]",
-                   assignment.gap_set.genus == curve.genus)
-            certs = verify_nongaps(curve, assignment, prec=args.prec)
-            record(f"nongap_certificates[{tag}]",
-                   all(c.verified for c in certs), f"{len(certs)} witnesses")
-            results[-1]["certificates"] = cert_rows(certs)
+            name = f"semigroup.genus[{tag}]"
+            ok, assignment = attempt(name, semigroup_at, curve, p)
+            if ok:
+                record(name, assignment.gap_set.genus == curve.genus)
+                certify(f"nongap_certificates[{tag}]", verify_nongaps, assignment,
+                        "witnesses")
         for p in samples:
-            assignment = semigroup_at(curve, p)
-            certs = verify_gaps(curve, assignment, prec=args.prec)
-            record(f"gap_certificates[{assignment.theorem_tag}]",
-                   all(c.verified for c in certs),
-                   f"{len(certs)} gaps witnessed")
-            results[-1]["certificates"] = cert_rows(certs)
+            ok, assignment = attempt(f"gap_certificates[{p.place_class}]",
+                                     semigroup_at, curve, p)
+            if ok:
+                certify(f"gap_certificates[{assignment.theorem_tag}]", verify_gaps,
+                        assignment, "gaps witnessed")
 
     if scope in ("autgroup", "all"):
         from . import automorphisms

@@ -22,6 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
+from .errors import CertificateError, require
 from .f3linalg import LinearSolver
 from .factorint import factorize
 from .fields import MAX_DEGREE, FieldElement, FieldTower, make_tower, trace_p
@@ -120,7 +121,8 @@ class Curve:
     def beta_of(self, a: FieldElement, b: FieldElement) -> FieldElement:
         pb = self.p_map(b)
         beta = pb * pb
-        assert beta == -(self.frob_q(a) + a)
+        if not beta == -(self.frob_q(a) + a):
+            raise CertificateError(f"({a}, {b}) is not on the curve: p(b)^2 != -(a^q + a)")
         return beta
 
     # -- linear solvers over the tower ----------------------------------------
@@ -189,7 +191,7 @@ class Curve:
         x, y, d = self.frob_q2(a), self.frob_q2(b), 1
         while (x, y) != (a, b):
             x, y, d = self.frob_q2(x), self.frob_q2(y), d + 1
-            assert d <= a.level.n
+            require(d <= a.level.n, "Frobenius orbit longer than the level degree")
         return d
 
     def _canonical_rep(self, a, b):
@@ -210,9 +212,9 @@ class Curve:
             cls = self._classify_beta_uncached(beta)
             self._beta_class_cache[key] = cls
         # rationality of the place must agree with the beta criterion
-        assert (degree == 1) == (cls.kind in
-                                 (BETA_ZERO, BETA_ONE, RATIONAL_GENERAL)), \
-            "beta rationality criterion disagrees with coordinate degree"
+        if not (degree == 1) == (cls.kind in (BETA_ZERO, BETA_ONE, RATIONAL_GENERAL)):
+            raise CertificateError(f"beta rationality criterion ({cls.kind}) disagrees "
+                                   f"with coordinate degree {degree}")
         return cls
 
     def _classify_beta_uncached(self, beta: FieldElement) -> PlaceClass:
@@ -223,8 +225,8 @@ class Curve:
         i = p_order(beta)
         K = r_order(beta, i)
         if beta ** ((self.q - 1) // 2) == -beta.level.one():
-            assert (self.q + 1) % (i + 1) == 0, \
-                "rational place P-order must satisfy (i+1) | (q+1)"
+            require((self.q + 1) % (i + 1) == 0,
+                    "rational place P-order must satisfy (i+1) | (q+1)")
             return PlaceClass(RATIONAL_GENERAL, i)
         if K <= self.m - 2:
             return PlaceClass(NONRATIONAL_SPECIAL, i, K)
@@ -266,14 +268,14 @@ class Curve:
             a = self.tower.embed(a, N)
             b = self.tower.embed(b, N)
             sol = self._linear_solver("cube_minus", N).solve(list(b.coeffs))
-            assert sol is not None, "cube cover must split over the cubic extension"
+            require(sol is not None, "cube cover must split over the cubic extension")
         B = b.level.element(sol) + which
         A = -a - B * B
-        assert B.cube() - B == b
-        assert self.frob_q(A) + A == self.frob_q(B) * B, "Hermitian equation fails"
+        require(B.cube() - B == b, "B^3 - B != b")
+        require(self.frob_q(A) + A == self.frob_q(B) * B, "Hermitian equation fails")
         pb = self.frob_q(B) - B
-        assert pb * pb == self.tower.embed(place.beta, B.level.n)
-        assert not pb.is_zero()
+        require(pb * pb == self.tower.embed(place.beta, B.level.n), "(B^q - B)^2 != beta")
+        require(not pb.is_zero(), "B^q - B vanishes")
         return HermitianLift(place, A, B, pb, which)
 
     # -- sampling of non-rational places ---------------------------------------
@@ -351,13 +353,14 @@ class Curve:
 
 
 def _mult_order_int(base: int, mod: int) -> int:
+    if math.gcd(base, mod) != 1:
+        raise ValueError(f"{base} is not a unit mod {mod}")
     if mod == 1:
         return 1
     x, k = base % mod, 1
     while x != 1:
         x = x * base % mod
         k += 1
-        assert k <= mod
     return k
 
 

@@ -53,7 +53,8 @@ _L8 = _repeat(0xFF, 2 * MAX_DEGREE - 1)
 _L4 = _repeat(0xF, 2 * MAX_DEGREE - 1)
 
 # ---------------------------------------------------------------------------
-# packed polynomials over F_3 (used for modulus search and reduction rows)
+# packed polynomials over F_3, the one representation of F_3[X] (modulus
+# search, reduction rows, inverses, root search and the symbolic families)
 
 
 def _p3_pack(coeffs: Iterable[int]) -> int:
@@ -115,50 +116,6 @@ def _p3_gcd(a: int, b: int) -> int:
 
 
 _X_PACKED = 1 << _W
-
-
-# list-based F_3[X] helpers (low-degree-first coefficient lists)
-
-
-def _l_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _l_mul(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % 3
-    return _l_trim(out)
-
-
-def _l_sub(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * max(len(a), len(b))
-    for i, ai in enumerate(a):
-        out[i] = ai
-    for i, bi in enumerate(b):
-        out[i] = (out[i] - bi) % 3
-    return _l_trim(out)
-
-
-def _l_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
-    a = a[:]
-    db = len(b) - 1
-    inv_lead = b[-1]  # in {1,2}: self-inverse mod 3
-    q = [0] * max(0, len(a) - db)
-    while len(a) - 1 >= db and a:
-        lead = (a[-1] * inv_lead) % 3
-        shift = len(a) - 1 - db
-        q[shift] = lead
-        for i in range(db + 1):
-            a[shift + i] = (a[shift + i] - lead * b[i]) % 3
-        _l_trim(a)
-    return _l_trim(q), a
 
 
 def _p3_is_irreducible(f: int, n: int) -> bool:
@@ -406,21 +363,27 @@ class FieldLevel:
         return self.reduce_raw(pa * pb)
 
     def inv_packed(self, pk: int) -> int:
-        # extended Euclid over F_3[X]: r0 = modulus, r1 = element
-        r0 = list(self.modulus)
-        r1 = _l_trim(list(_p3_unpack(pk, self.n)))
-        t0: list[int] = [0]
-        t1: list[int] = [1]
-        while len(r1) > 1:
-            q, r = _l_divmod(r0, r1)
-            r0, r1 = r1, r
-            t0, t1 = t1, _l_sub(t0, _l_mul(q, t1))
-            if not r1:
-                raise ZeroDivisionError("gcd with modulus is non-constant")
-        c = r1[0]  # nonzero constant; its inverse mod 3 is itself
-        inv = _l_divmod(_l_mul([c], t1), list(self.modulus))[1]
-        inv += [0] * (self.n - len(inv))
-        return _p3_pack(inv[:self.n])
+        """Extended Euclid on packed polynomials, r0 = modulus, r1 = pk.
+
+        Each step cancels the top limb of the longer remainder,
+        r0 -= c X^d r1 with c = lead(r0) lead(r1) (lead(r1) is its own
+        inverse mod 3), and applies the same step to the cofactors, which
+        keep t_k * pk = r_k mod modulus and degree below n."""
+        r0, r1 = _p3_pack(self.modulus), pk
+        t0, t1 = 0, 1
+        d0, d1 = self.n, _p3_deg(pk)
+        while d1 > 0:
+            if d0 < d1:
+                r0, r1, t0, t1, d0, d1 = r1, r0, t1, t0, d1, d0
+                continue
+            c = (r0 >> (_W * d0)) * (r1 >> (_W * d1)) % 3
+            shift = _W * (d0 - d1)
+            r0 = _p3_canon(r0 + (3 - c) * (r1 << shift))
+            t0 = _p3_canon(t0 + (3 - c) * (t1 << shift))
+            d0 = _p3_deg(r0)
+        if r1 == 0:
+            raise ZeroDivisionError("gcd with modulus is non-constant")
+        return t1 if r1 == 1 else _p3_canon(2 * t1)
 
     # -- iteration -----------------------------------------------------------
 

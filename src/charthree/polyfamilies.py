@@ -4,9 +4,10 @@ All three satisfy the same second-order linear recursion
     V_{i+1} = P_2(s) V_i - (s(s-1))^3 V_{i-1},      P_2(s) = -s^3,
 seeded by P_0 = 0, P_1 = 1, Q_0 = (s(s-1))^{-1}, Q_1 = s, R_0 = -1/s^2,
 R_1 = -(s+1).  Values at field points are computed by the recursion and,
-independently, by the closed eigenvalue formulas involving sqrt(s); the
-symbolic engine works with Laurent polynomials carrying an explicit
-(s-1)^{-1} exponent so the rational seeds stay exact.
+independently, by the closed eigenvalue formulas involving sqrt(s).  The
+symbolic check of the corollary R_i = R_{i-1} s(s-1)^2 + P_i/s runs on
+the polynomials P_i and s^2 R_i (s^2 R_0 = -1), packed like field
+elements, so no negative power of s or (s - 1) is needed.
 
 The P-order of beta is the least i >= 1 with P_{i+1}(beta) = 0; it equals
 ord(gamma) - 1 for gamma = (sqrt(beta)+1)/(sqrt(beta)-1), and the R-order
@@ -17,7 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fields import FieldElement, mult_order, sqrt
+from .errors import require
+from .fields import MAX_DEGREE, _W, FieldElement, _p3_canon, _p3_pack, mult_order, sqrt
 
 _CHAIN_CHECK_LIMIT = 64  # full non-vanishing scan below this order
 
@@ -137,150 +139,33 @@ def corollary_check(i: int, beta: FieldElement) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# symbolic engine: Laurent polynomials with a tracked (s-1)^{-1} power
+# symbolic check on packed F_3[s] polynomials
+
+# s^2 R_i has degree 3i, so building it takes a raw product of 3i + 1
+# limbs, and _p3_canon accepts at most 2 * MAX_DEGREE - 1.
+SYMBOLIC_MAX_I = (2 * MAX_DEGREE - 2) // 3
+_P2 = _p3_pack((0, 0, 0, 2))                    # P_2 = -s^3
+_NEG_SHIFT = _p3_pack((0, 0, 0, 1, 0, 0, 2))    # -(s(s-1))^3 = s^3 - s^6
+_COROLLARY_MULT = _p3_pack((0, 1, 1, 1))        # s(s-1)^2 = s^3 + s^2 + s
 
 
-class LaurentPoly:
-    """Laurent polynomial over F_3 in s (finite support, integer exponents)."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: dict[int, int] | None = None):
-        self.coeffs = {e: c % 3 for e, c in (coeffs or {}).items() if c % 3}
-
-    @classmethod
-    def term(cls, c: int, e: int = 0) -> "LaurentPoly":
-        return cls({e: c})
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = (out.get(e, 0) + c) % 3
-        return LaurentPoly(out)
-
-    def __sub__(self, other):
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = (out.get(e, 0) - c) % 3
-        return LaurentPoly(out)
-
-    def __neg__(self):
-        return LaurentPoly({e: -c for e, c in self.coeffs.items()})
-
-    def __mul__(self, other):
-        out: dict[int, int] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                out[e] = (out.get(e, 0) + c1 * c2) % 3
-        return LaurentPoly(out)
-
-    def __pow__(self, k: int) -> "LaurentPoly":
-        assert k >= 0
-        acc = LaurentPoly.term(1)
-        for _ in range(k):
-            acc = acc * self
-        return acc
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LaurentPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def divisible_by_s_minus_1(self) -> bool:
-        # s = 1 is a root iff the coefficient sum vanishes
-        return sum(self.coeffs.values()) % 3 == 0
-
-    def divide_s_minus_1(self) -> "LaurentPoly":
-        """Exact division by (s - 1); requires divisibility."""
-        if self.is_zero():
-            return self
-        lo = min(self.coeffs)
-        hi = max(self.coeffs)
-        dense = [self.coeffs.get(e, 0) for e in range(lo, hi + 1)]
-        out = [0] * (len(dense) - 1)
-        carry = 0
-        for k in range(len(dense) - 1, 0, -1):
-            carry = (dense[k] + carry) % 3
-            out[k - 1] = carry
-        assert (dense[0] + carry) % 3 == 0, "not divisible by (s-1)"
-        return LaurentPoly({lo + k: c for k, c in enumerate(out)})
-
-    def __repr__(self):
-        if self.is_zero():
-            return "0"
-        return " + ".join(f"{c}*s^{e}" for e, c in sorted(self.coeffs.items()))
-
-
-class SymbolicRational:
-    """num / (s-1)^e with num a LaurentPoly; kept in lowest (s-1)-terms."""
-
-    __slots__ = ("num", "e")
-
-    def __init__(self, num: LaurentPoly, e: int = 0):
-        while e > 0 and num.divisible_by_s_minus_1():
-            num = num.divide_s_minus_1()
-            e -= 1
-        self.num = num
-        self.e = e
-
-    @classmethod
-    def poly(cls, coeffs: dict[int, int]) -> "SymbolicRational":
-        return cls(LaurentPoly(coeffs))
-
-    def __add__(self, other):
-        e = max(self.e, other.e)
-        sm1 = LaurentPoly({1: 1, 0: -1})
-        a = self.num * sm1 ** (e - self.e)
-        b = other.num * sm1 ** (e - other.e)
-        return SymbolicRational(a + b, e)
-
-    def __sub__(self, other):
-        return self + SymbolicRational(-other.num, other.e)
-
-    def __mul__(self, other):
-        return SymbolicRational(self.num * other.num, self.e + other.e)
-
-    def __eq__(self, other):
-        if not isinstance(other, SymbolicRational):
-            return NotImplemented
-        sm1 = LaurentPoly({1: 1, 0: -1})
-        return self.num * sm1 ** other.e == other.num * sm1 ** self.e
-
-    def __hash__(self):
-        raise TypeError("unhashable")
-
-    def __repr__(self):
-        return f"({self.num})/(s-1)^{self.e}"
-
-
-def symbolic_chain(i: int) -> tuple[list[SymbolicRational], list[SymbolicRational],
-                                    list[SymbolicRational]]:
-    """Exact symbolic P_j, Q_j, R_j for j = 0..i."""
-    p = [SymbolicRational.poly({}), SymbolicRational.poly({0: 1})]
-    q = [SymbolicRational(LaurentPoly({-1: 1}), 1), SymbolicRational.poly({1: 1})]
-    r = [SymbolicRational.poly({-2: -1}), SymbolicRational.poly({1: -1, 0: -1})]
-    p2 = SymbolicRational.poly({3: -1})
-    shift = SymbolicRational.poly({6: 1, 5: -3, 4: 3, 3: -1})  # (s(s-1))^3
-    for chain in (p, q, r):
+def symbolic_chain(i: int) -> tuple[list[int], list[int]]:
+    """P_j and s^2 R_j for j = 0..i as packed F_3[s] polynomials."""
+    if not 0 <= i <= SYMBOLIC_MAX_I:
+        raise ValueError(f"symbolic index must be in [0, {SYMBOLIC_MAX_I}]")
+    p = [0, 1]
+    r = [2, _p3_pack((0, 0, 2, 2))]     # -1, -(s^3 + s^2)
+    for chain in (p, r):
         for j in range(2, i + 1):
-            chain.append(p2 * chain[j - 1] - shift * chain[j - 2])
-    return p[:i + 1], q[:i + 1], r[:i + 1]
+            chain.append(_p3_canon(_P2 * chain[j - 1] + _NEG_SHIFT * chain[j - 2]))
+    return p[:i + 1], r[:i + 1]
 
 
 def corollary_check_symbolic(max_i: int) -> bool:
-    """R_i = R_{i-1} s (s-1)^2 + P_i / s as exact rational functions."""
-    p, _, r = symbolic_chain(max_i)
-    mult = SymbolicRational.poly({3: 1, 2: -2, 1: 1})  # s (s-1)^2
-    s_inv = SymbolicRational.poly({-1: 1})
-    for i in range(1, max_i + 1):
-        if r[i] != r[i - 1] * mult + p[i] * s_inv:
-            return False
-    return True
+    """R_i = R_{i-1} s (s-1)^2 + P_i / s as exact polynomials, times s^2."""
+    p, r = symbolic_chain(max_i)
+    return all(r[i] == _p3_canon(_COROLLARY_MULT * r[i - 1] + (p[i] << _W))
+               for i in range(1, max_i + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +230,7 @@ def r_order(beta: FieldElement, i: int | None = None) -> int:
         K = (2 * i - 2) // 3
     else:
         raise ArithmeticError(f"P-order {i} = 2 mod 3 cannot occur")
-    assert 0 <= K < i
+    require(0 <= K < i, f"R-order {K} outside [0, {i})")
     if K <= _CHAIN_CHECK_LIMIT:
         chain = eval_chain(K + 1, beta)
         if not chain[K + 1].r_val.is_zero():

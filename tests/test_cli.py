@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from charthree import cli, localseries
 from charthree.cli import main
+from charthree.errors import CertificateError
 
 
 def run_cli(capsys, *argv):
@@ -177,3 +179,58 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["bogus-command"])
     assert exc.value.code == 2
+
+
+def _usage_error(capsys, *argv):
+    code = main(list(argv))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+def test_polyfam_rejects_negative_max_i(capsys):
+    assert "--max-i" in _usage_error(capsys, "polyfam", "--t", "2", "--max-i", "-1")
+
+
+def test_polyfam_rejects_max_i_above_symbolic_bound(capsys):
+    err = _usage_error(capsys, "polyfam", "--t", "2", "--max-i", "64", "--samples", "0")
+    assert "[0, 63]" in err
+
+
+def test_semigroup_rejects_negative_index(capsys):
+    err = _usage_error(capsys, "semigroup", "--t", "2", "--class", "beta-one",
+                       "--index", "-1")
+    assert "--index" in err
+
+
+def _failing_verify(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.err
+    return json.loads(captured.out)["results"]
+
+
+def test_verify_reports_a_failing_gap_certificate_as_a_row(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise CertificateError("witness check failed")
+
+    monkeypatch.setattr(cli, "verify_gaps", broken)
+    rows = _failing_verify(capsys, ["verify", "--t", "2", "--scope", "semigroups"])
+    failed = [r for r in rows if not r["ok"]]
+    assert failed and all(r["check"].startswith("gap_certificates[") and
+                          r["detail"] == "witness check failed" for r in failed)
+    # the non-gap rows still run and pass
+    assert any(r["check"].startswith("nongap_certificates[") and r["ok"] for r in rows)
+
+
+def test_verify_reports_a_failing_expansion_as_a_row(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("precision too low")
+
+    monkeypatch.setattr(localseries, "LocalData", broken)
+    rows = _failing_verify(capsys, ["verify", "--t", "2", "--scope", "valuations"])
+    valuations = [r for r in rows if r["check"].startswith("valuations[")]
+    assert valuations and all(not r["ok"] and r["detail"] == "precision too low"
+                              for r in valuations)

@@ -122,6 +122,35 @@ def test_field_axioms_sampled(tower9):
         assert z - z == 0 and z + (-z) == 0
 
 
+def _assert_inverse(lvl, a):
+    inv = a.inverse()
+    assert a * inv == 1
+    assert inv == a ** (lvl.order() - 2)  # Fermat
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_inv_packed_every_element_small_levels(n):
+    lvl = FieldLevel(None, n)
+    for a in lvl.iter_elements():
+        if not a.is_zero():
+            _assert_inverse(lvl, a)
+    with pytest.raises(ZeroDivisionError):
+        lvl.inv_packed(0)
+
+
+@pytest.mark.parametrize("n", (8, 24, 48, 72, 96))
+def test_inv_packed_random_elements_large_levels(n):
+    rng = random.Random(n)
+    lvl = FieldLevel(None, n)
+    for _ in range(4):
+        a = lvl.random_element(rng)
+        if not a.is_zero():
+            _assert_inverse(lvl, a)
+    # sparse and constant elements take the shortest and longest Euclid runs
+    for a in (lvl.one(), lvl.from_int(2), lvl.basis_element(n - 1), lvl.gen() + 1):
+        _assert_inverse(lvl, a)
+
+
 def test_frobenius_additive_multiplicative(tower9):
     rng = random.Random(5)
     for n in (2, 4, 8, 12):

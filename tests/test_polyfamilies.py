@@ -3,7 +3,8 @@ import random
 import pytest
 
 from charthree import polyfamilies as pf
-from charthree.fields import mult_order, sqrt
+from charthree.fields import (MAX_DEGREE, _eval_f3_poly, _p3_canon, _p3_deg, _p3_pack,
+                              _p3_unpack, mult_order, sqrt)
 
 
 def rand_beta(lvl, rng):
@@ -121,22 +122,39 @@ def test_corollary_pointwise_and_symbolic(tower9):
     assert pf.corollary_check_symbolic(12)
 
 
+def _eval_packed(poly, x):
+    """A packed F_3[s] polynomial evaluated at the field element x."""
+    return _eval_f3_poly(_p3_unpack(poly, _p3_deg(poly) + 1), x)
+
+
 def test_symbolic_chain_matches_pointwise(tower9):
-    # evaluate the symbolic P_i at points and compare with the recursion
+    # the packed P_i and s^2 R_i at random beta of F_81 against the recursion
     rng = random.Random(8)
     lvl = tower9.level(4)
-    p, q, r = pf.symbolic_chain(6)
+    p, r = pf.symbolic_chain(12)
     for _ in range(10):
         beta = rand_beta(lvl, rng)
-        ch = pf.eval_chain(6, beta)
-        sm1 = beta - 1
-        for i in range(7):
-            for sym, val in ((p[i], ch[i].p_val), (q[i], ch[i].q_val),
-                             (r[i], ch[i].r_val)):
-                num = lvl.zero()
-                for e, c in sym.num.coeffs.items():
-                    num = num + c * beta ** e
-                assert num == val * sm1 ** sym.e
+        ch = pf.eval_chain(12, beta)
+        for i in range(13):
+            assert _eval_packed(p[i], beta) == ch[i].p_val
+            assert _eval_packed(r[i], beta) == beta * beta * ch[i].r_val
+
+
+def test_symbolic_corollary_detects_a_wrong_multiplier(monkeypatch):
+    assert pf.corollary_check_symbolic(pf.SYMBOLIC_MAX_I)
+    monkeypatch.setattr(pf, "_COROLLARY_MULT", _p3_pack((0, 1, 2, 1)))  # s(s+1)^2
+    assert not pf.corollary_check_symbolic(12)
+
+
+def test_symbolic_index_bounds():
+    assert pf.SYMBOLIC_MAX_I == (2 * MAX_DEGREE - 2) // 3 == 63
+    for bad in (-1, pf.SYMBOLIC_MAX_I + 1):
+        with pytest.raises(ValueError, match="symbolic index"):
+            pf.corollary_check_symbolic(bad)
+    # the bound is the representation's: one more index overflows _p3_canon
+    _, r = pf.symbolic_chain(pf.SYMBOLIC_MAX_I)
+    with pytest.raises(ValueError, match="packed value"):
+        _p3_canon(pf._NEG_SHIFT * r[-2])
 
 
 def test_p_order_examples(tower9):
@@ -195,9 +213,3 @@ def test_orders_beyond_chain_scan_limit(tower9):
     assert ch[80].p_val.is_zero()
     assert ch[53].r_val.is_zero() and not ch[52].r_val.is_zero()
 
-
-def test_laurent_divide():
-    lp = pf.LaurentPoly({2: 1, 1: 1, 0: 1})    # s^2 + s + 1 = (s-1)^2 in F_3
-    assert lp.divisible_by_s_minus_1()
-    quot = lp.divide_s_minus_1()
-    assert quot == pf.LaurentPoly({1: 1, 0: -1})
