@@ -9,11 +9,11 @@ element fixes the place at infinity and preserves beta.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .curve import Curve, Place
-from .fields import FieldElement
+from .curve import Curve, Place, _linear_table
+from .errors import require
+from .fields import FieldElement, _p3_canon
 
 
 @dataclass(frozen=True)
@@ -23,7 +23,8 @@ class Automorphism:
     eps: int            # +1 or -1
 
     def __post_init__(self):
-        assert self.eps in (1, -1)
+        if self.eps not in (1, -1):
+            raise ValueError("eps must be +1 or -1")
 
     def is_identity(self) -> bool:
         return self.a.is_zero() and self.b.is_zero() and self.eps == 1
@@ -76,43 +77,63 @@ def apply(curve: Curve, sigma: Automorphism, place: Place) -> Place:
 
 
 def group_elements(curve: Curve) -> list[Automorphism]:
-    """All 2q^2/3 automorphisms, in a deterministic order."""
+    """All 2q^2/3 automorphisms, in a deterministic order: eps, then a,
+    then b, each kernel spanned in counter order (first basis vector
+    fastest)."""
     n = 2 * curve.t
     a_kernel = curve.kernel_artin_schreier(n)
     b_kernel = curve.kernel_trace_p(n)
-    assert len(a_kernel) == curve.t            # q choices of a
-    assert len(b_kernel) == curve.t - 1        # q/3 choices of b
+    require(len(a_kernel) == curve.t, "a^q + a = 0 must have q solutions")
+    require(len(b_kernel) == curve.t - 1, "p(b) = 0 must have q/3 solutions")
     lvl = curve.base
-    elements = []
-    for eps in (1, -1):
-        for a_coeffs in itertools.product(range(3), repeat=len(a_kernel)):
-            a = lvl.zero()
-            for cc, v in zip(a_coeffs, a_kernel):
-                if cc:
-                    a = a + cc * v
-            for b_coeffs in itertools.product(range(3), repeat=len(b_kernel)):
-                b = lvl.zero()
-                for cc, v in zip(b_coeffs, b_kernel):
-                    if cc:
-                        b = b + cc * v
-                elements.append(Automorphism(a, b, eps))
-    assert len(elements) == 2 * curve.q * curve.q // 3
+    a_values = [FieldElement(lvl, pk) for pk in _linear_table([v.pk for v in a_kernel])]
+    b_values = [FieldElement(lvl, pk) for pk in _linear_table([v.pk for v in b_kernel])]
+    elements = [Automorphism(a, b, eps) for eps in (1, -1)
+                for a in a_values for b in b_values]
+    require(len(elements) == 2 * curve.q * curve.q // 3, "|G| must be 2q^2/3")
     return elements
+
+
+def _shifts(curve: Curve, elements: list[Automorphism], n: int):
+    """The distinct a-shifts and (eps, b)-shifts of the group, packed at
+    level n (embedded from the base level when n is larger).
+
+    Raises ValueError unless `elements` is the full product of the two
+    shift sets, which is what `orbit` relies on."""
+    a_set = {s.a for s in elements}
+    eb_set = {(s.eps, s.b) for s in elements}
+    if len(a_set) * len(eb_set) != len({(s.a, s.b, s.eps) for s in elements}):
+        raise ValueError("the elements are not the full product of their "
+                         "a- and (eps, b)-parameters")
+
+    def pk(x):
+        return (x if x.level.n == n else curve.tower.embed(x, n)).pk
+
+    return [pk(a) for a in a_set], [(eps, pk(b)) for eps, b in eb_set]
+
+
+def _product_orbit(place: Place, a_shifts, eb_shifts) -> set:
+    pa, pb = place.a.pk, place.b.pk
+    neg_pb = _p3_canon(place.b.level._threes - pb)
+    a_keys = [_p3_canon(pa + x) for x in a_shifts]
+    b_keys = {_p3_canon((pb if eps == 1 else neg_pb) + y) for eps, y in eb_shifts}
+    return {(x, y) for x in a_keys for y in b_keys}
 
 
 def orbit(curve: Curve, place: Place,
           elements: list[Automorphism] | None = None) -> set:
-    """The G-orbit of a rational place, as a set of coordinate keys
-    ((a-pk, b-pk) pairs; the infinite place maps to a marker)."""
+    """The G-orbit of a place, as a set of coordinate keys ((a-pk, b-pk)
+    pairs; the infinite place maps to a marker).
+
+    G is the full product of its parameter sets and moves a and b
+    independently, (a0, b0) -> (a0 + a, eps*b0 + b), so the orbit is the
+    product {a0 + a} x {eps*b0 + b} over the q distinct a and the 2q/3
+    distinct (eps, b): q + 2q/3 packed additions, not 2|G|."""
     if elements is None:
         elements = group_elements(curve)
     if place.is_infinity():
         return {"infinity"}
-    out = set()
-    for sigma in elements:
-        a1, b1 = apply_coords(curve, sigma, place.a, place.b)
-        out.add((a1.pk, b1.pk))
-    return out
+    return _product_orbit(place, *_shifts(curve, elements, place.a.level.n))
 
 
 def orbit_partition(curve: Curve, places: list[Place],
@@ -120,13 +141,20 @@ def orbit_partition(curve: Curve, places: list[Place],
     """Partition of the given places into G-orbits (coordinate-key sets)."""
     if elements is None:
         elements = group_elements(curve)
+    shifts = {}     # level degree -> the shift sets of `orbit`
     seen = set()
     orbits = []
     for p in places:
         key = "infinity" if p.is_infinity() else (p.a.pk, p.b.pk)
         if key in seen:
             continue
-        orb = orbit(curve, p, elements)
+        if p.is_infinity():
+            orb = {"infinity"}
+        else:
+            n = p.a.level.n
+            if n not in shifts:
+                shifts[n] = _shifts(curve, elements, n)
+            orb = _product_orbit(p, *shifts[n])
         seen |= orb
         orbits.append(orb)
     return orbits

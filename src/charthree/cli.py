@@ -274,7 +274,7 @@ def cmd_aut(args) -> int:
     from . import automorphisms
     curve = _make_curve(args)
     elements = automorphisms.group_elements(curve)
-    report = full_census(curve)
+    report = full_census(curve, elements=elements)
     ident = automorphisms.identity(curve)
     axioms_ok = all(
         automorphisms.compose(sig, automorphisms.inverse(sig)) == ident
@@ -315,38 +315,55 @@ def cmd_verify(args) -> int:
         if attempt(name, fn, *fn_args)[0]:
             record(name, True)
 
+    def check(name, fn, *fn_args):
+        """A row whose ok is fn's boolean result."""
+        ok, value = attempt(name, fn, *fn_args)
+        if ok:
+            record(name, value)
+
     scope = args.scope
     if scope in ("polyfam", "all"):
-        rng = random.Random(args.seed)
-        lvl = curve.base
-        ok = True
-        for _ in range(50):
-            beta = lvl.random_element(rng)
-            if beta.is_zero() or beta == 1:
-                continue
-            chain = polyfamilies.eval_chain(12, beta)
-            if any(polyfamilies.eval_closed(i, beta) != chain[i]
-                   for i in (0, 1, 5, 12)):
-                ok = False
-            if not polyfamilies.identity_check(2, 1, 3, beta):
-                ok = False
-        record("polyfam.closed_vs_recursive", ok)
-        record("polyfam.symbolic_corollary", polyfamilies.corollary_check_symbolic(12))
+        def closed_vs_recursive():
+            rng = random.Random(args.seed)
+            ok = True
+            for _ in range(50):
+                beta = curve.base.random_element(rng)
+                if beta.is_zero() or beta == 1:
+                    continue
+                chain = polyfamilies.eval_chain(12, beta)
+                if any(polyfamilies.eval_closed(i, beta) != chain[i]
+                       for i in (0, 1, 5, 12)):
+                    ok = False
+                if not polyfamilies.identity_check(2, 1, 3, beta):
+                    ok = False
+            return ok
+
+        check("polyfam.closed_vs_recursive", closed_vs_recursive)
+        check("polyfam.symbolic_corollary", polyfamilies.corollary_check_symbolic, 12)
 
     reps: dict[str, Place] = {}
     samples: list[Place] = []
+    places = None       # the census list, passed on to the autgroup scope
     if scope in ("semigroups", "valuations", "all"):
-        places = curve.enumerate_rational()
-        expected = curve.q * curve.q + 1 + 2 * curve.q * curve.genus
-        record("census.count", len(places) == expected,
-               f"{len(places)} places (want {expected})")
-        for p in places:
-            reps.setdefault(str(p.place_class), p)
-        for o in curve.feasible_gamma_orders():
-            samples.extend(curve.sample_nonrational(o, count=1))
-        record("nonrational.sampled", bool(samples),
-               f"{len(samples)} places, classes "
-               f"{sorted({str(p.place_class) for p in samples})}")
+        ok, places = attempt("census.count", curve.enumerate_rational)
+        if ok:
+            expected = curve.q * curve.q + 1 + 2 * curve.q * curve.genus
+            record("census.count", len(places) == expected,
+                   f"{len(places)} places (want {expected})")
+            for p in places:
+                reps.setdefault(str(p.place_class), p)
+
+        def sample_all():
+            return [p for o in curve.feasible_gamma_orders()
+                    for p in curve.sample_nonrational(o, count=1)]
+
+        ok, samples = attempt("nonrational.sampled", sample_all)
+        if ok:
+            record("nonrational.sampled", bool(samples),
+                   f"{len(samples)} places, classes "
+                   f"{sorted({str(p.place_class) for p in samples})}")
+        else:
+            samples = []
 
     if scope in ("valuations", "all"):
         from .localseries import LocalData, build_beta1_chain
@@ -392,14 +409,17 @@ def cmd_verify(args) -> int:
 
     if scope in ("autgroup", "all"):
         from . import automorphisms
-        elements = automorphisms.group_elements(curve)
-        record("autgroup.order", len(elements) == 2 * curve.q * curve.q // 3,
-               f"|G| = {len(elements)}")
-        report = full_census(curve)
-        record("autgroup.orbits_partition",
-               sum(report.orbit_sizes) == report.total_places,
-               f"sizes {report.orbit_sizes}")
-        record("autgroup.orbit_class_constant", report.orbits_class_constant)
+        ok, elements = attempt("autgroup.order", automorphisms.group_elements, curve)
+        if ok:
+            record("autgroup.order", len(elements) == 2 * curve.q * curve.q // 3,
+                   f"|G| = {len(elements)}")
+            ok, report = attempt("autgroup.orbits_partition", full_census, curve,
+                                 places, elements)
+            if ok:
+                record("autgroup.orbits_partition",
+                       sum(report.orbit_sizes) == report.total_places,
+                       f"sizes {report.orbit_sizes}")
+                record("autgroup.orbit_class_constant", report.orbits_class_constant)
     _emit(_document(curve, "verify", results), args.format, args.out)
     return 1 if failed else 0
 

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from .errors import CertificateError, require
 from .f3linalg import LinearSolver
 from .factorint import factorize
-from .fields import MAX_DEGREE, FieldElement, FieldTower, make_tower, trace_p
+from .fields import (MAX_DEGREE, FieldElement, FieldTower, _p3_canon, make_tower,
+                     trace_p)
 from .polyfamilies import p_order, r_order
 
 INFINITY = "infinity"
@@ -127,24 +128,29 @@ class Curve:
 
     # -- linear solvers over the tower ----------------------------------------
 
+    def _basis_images(self, name: str, n: int) -> list[FieldElement]:
+        """Images of the basis X^0 .. X^(n-1) of the degree-n level under
+        one of the additive maps."""
+        lvl = self.tower.level(n)
+        images = []
+        for j in range(n):
+            bj = lvl.basis_element(j)
+            if name == "artin_schreier":      # a -> a^q + a
+                images.append(self.frob_q(bj) + bj)
+            elif name == "trace_p":           # b -> p(b)
+                images.append(self.p_map(bj))
+            elif name == "cube_minus":        # B -> B^3 - B
+                images.append(bj.cube() - bj)
+            else:
+                raise ValueError(name)
+        return images
+
     def _linear_solver(self, name: str, n: int) -> LinearSolver:
         """Solver for one of the additive maps, on the degree-n level."""
         key = (name, n)
         if key in self._solver_cache:
             return self._solver_cache[key]
-        lvl = self.tower.level(n)
-        cols = []
-        for j in range(n):
-            bj = lvl.basis_element(j)
-            if name == "artin_schreier":      # a -> a^q + a
-                img = self.frob_q(bj) + bj
-            elif name == "trace_p":           # b -> p(b)
-                img = self.p_map(bj)
-            elif name == "cube_minus":        # B -> B^3 - B
-                img = bj.cube() - bj
-            else:
-                raise ValueError(name)
-            cols.append(list(img.coeffs))
+        cols = [img.coeffs for img in self._basis_images(name, n)]
         rows = [[cols[j][i] for j in range(n)] for i in range(n)]
         solver = LinearSolver(rows)
         self._solver_cache[key] = solver
@@ -234,21 +240,34 @@ class Curve:
 
     def enumerate_rational(self) -> list[Place]:
         """All degree-one places: P_infinity plus every (a,b) in F_{q^2}^2
-        on the curve.  Count must equal q^2 + 1 + 2q*genus by maximality."""
+        on the curve.  Count must equal q^2 + 1 + 2q*genus by maximality.
+
+        Both a -> a^q + a and b -> p(b) are F_3-linear, so their images on
+        all of F_{q^2} come from `_linear_table`; the a's are bucketed by
+        image, and each of the 3q distinct values of p(b) is squared and
+        classified once.  Places come out ordered by b, then by a, both in
+        `iter_elements` order."""
         places = [self.infinity()]
         lvl = self.base
+        elements = list(lvl.iter_elements())
         buckets: dict[int, list[FieldElement]] = {}
-        for a in lvl.iter_elements():
-            key = (self.frob_q(a) + a).pk
-            buckets.setdefault(key, []).append(a)
-        for b in lvl.iter_elements():
-            pb = self.p_map(b)
-            beta = pb * pb
-            cls = None
-            for a in buckets.get((-beta).pk, ()):
-                if cls is None:
-                    cls = self.classify_beta(beta, 1)
-                places.append(Place("affine", a, b, beta, 1, cls))
+        as_images = _linear_table(
+            [x.pk for x in self._basis_images("artin_schreier", lvl.n)])
+        for a, image in zip(elements, as_images):
+            buckets.setdefault(image, []).append(a)
+        # p(b) -> (beta, the a's with a^q + a = -beta, class or None)
+        by_pb: dict[int, tuple] = {}
+        p_images = _linear_table([x.pk for x in self._basis_images("trace_p", lvl.n)])
+        for b, pb in zip(elements, p_images):
+            entry = by_pb.get(pb)
+            if entry is None:
+                root = FieldElement(lvl, pb)
+                beta = root * root
+                a_values = buckets.get((-beta).pk, ())
+                cls = self.classify_beta(beta, 1) if a_values else None
+                entry = by_pb[pb] = (beta, a_values, cls)
+            beta, a_values, cls = entry
+            places.extend(Place("affine", a, b, beta, 1, cls) for a in a_values)
         return places
 
     # -- Hermitian lift --------------------------------------------------------
@@ -350,6 +369,21 @@ class Curve:
             if places:
                 return places
         return places
+
+
+def _linear_table(cols: list[int]) -> list[int]:
+    """Packed images of every element under the F_3-linear map whose basis
+    images X^j -> cols[j] are given packed, in `iter_elements` order.
+
+    Digit j of the counter has weight 3^j, so the table for the first
+    j + 1 basis vectors is the table T for the first j, then T + col, then
+    T + 2 col: one `_p3_canon` per entry."""
+    table = [0]
+    for col in cols:
+        col2 = _p3_canon(2 * col)
+        table += ([_p3_canon(x + col) for x in table]
+                  + [_p3_canon(x + col2) for x in table])
+    return table
 
 
 def _mult_order_int(base: int, mod: int) -> int:

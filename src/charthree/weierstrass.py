@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from . import automorphisms
 from .curve import (BETA_ONE, BETA_ZERO, Curve, INFINITY, NONRATIONAL_GENERIC,
                     NONRATIONAL_SPECIAL, Place, RATIONAL_GENERAL)
-from .errors import require
+from .errors import CertificateError, require
 from .localseries import LocalData, expand_x_at_beta_zero
 from .semigroups import GapSet, NumericalSemigroup, is_cofinite_monoid
 
@@ -255,10 +255,21 @@ class CensusReport:
     orbits_class_constant: bool
 
 
-def full_census(curve: Curve) -> CensusReport:
+def full_census(curve: Curve, places: list[Place] | None = None,
+                elements: list[automorphisms.Automorphism] | None = None
+                ) -> CensusReport:
     """Enumerate the rational places, tally classes and P-orders, compute
-    the automorphism orbits and check assignments are orbit-constant."""
-    places = curve.enumerate_rational()
+    the automorphism orbits and check assignments are orbit-constant.
+
+    `places` is the output of `curve.enumerate_rational()` and `elements`
+    that of `automorphisms.group_elements(curve)`; either is computed here
+    when not given, so a caller that already holds them does not pay twice.
+    Every orbit point is looked up among the places, so closure of the
+    place set under G and class constancy are checked place by place."""
+    if places is None:
+        places = curve.enumerate_rational()
+    if elements is None:
+        elements = automorphisms.group_elements(curve)
     class_counts: dict[str, int] = {}
     p_order_counts: dict[int, int] = {}
     by_key = {}
@@ -269,12 +280,14 @@ def full_census(curve: Curve) -> CensusReport:
             p_order_counts[cls.i] = p_order_counts.get(cls.i, 0) + 1
         key = "infinity" if p.is_infinity() else (p.a.pk, p.b.pk)
         by_key[key] = p
-    elements = automorphisms.group_elements(curve)
     orbits = automorphisms.orbit_partition(curve, places, elements)
     constant = True
     for orb in orbits:
-        tags = {str(by_key[k].place_class) for k in orb}
-        if len(tags) != 1:
+        try:
+            classes = {by_key[k].place_class for k in orb}
+        except KeyError as exc:
+            raise CertificateError(f"orbit point {exc} is not a census place") from None
+        if len(classes) != 1:
             constant = False
     return CensusReport(
         q=curve.q,

@@ -143,3 +143,53 @@ def test_semigroup_separation_facts_q9(curve9, places9):
                 assert not sg.contains(2 * q - 3)
             else:
                 assert sg.contains(2 * q - 3)
+
+
+def _brute_force_orbit(curve, place, elements):
+    """The orbit from one `apply_coords` per group element."""
+    out = set()
+    for sigma in elements:
+        a1, b1 = aut.apply_coords(curve, sigma, place.a, place.b)
+        out.add((a1.pk, b1.pk))
+    return out
+
+
+@pytest.mark.parametrize("curve_name,places_name", [("curve9", "places9"),
+                                                    ("curve27", "places27")])
+def test_orbit_matches_brute_force(request, curve_name, places_name):
+    curve = request.getfixturevalue(curve_name)
+    places = request.getfixturevalue(places_name)
+    elements = aut.group_elements(curve)
+    orbits = aut.orbit_partition(curve, places, elements)
+    by_key = {(p.a.pk, p.b.pk): p for p in places if not p.is_infinity()}
+    seen = set()
+    for orb in orbits:
+        if orb == {"infinity"}:
+            continue
+        rep = by_key[min(orb)]
+        assert rep.degree == 1
+        brute = _brute_force_orbit(curve, rep, elements)
+        assert aut.orbit(curve, rep, elements) == brute == orb
+        seen |= orb
+    assert len(seen) == len(places) - 1
+
+
+def test_orbit_of_nonrational_place_matches_brute_force(curve9):
+    place = curve9.sample_nonrational(8, count=1)[0]
+    assert place.degree > 1 and place.a.level.n > curve9.base.n
+    elements = aut.group_elements(curve9)
+    orb = aut.orbit(curve9, place, elements)
+    assert orb == _brute_force_orbit(curve9, place, elements)
+    assert len(orb) == 2 * curve9.q * curve9.q // 3
+
+
+def test_orbit_needs_the_full_product(curve9, places9):
+    elements = aut.group_elements(curve9)
+    with pytest.raises(ValueError, match="full product"):
+        aut.orbit(curve9, places9[1], elements[:5])
+
+
+def test_automorphism_rejects_bad_sign(curve9):
+    lvl = curve9.base
+    with pytest.raises(ValueError, match="eps"):
+        aut.Automorphism(lvl.zero(), lvl.zero(), 0)

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from charthree import cli, localseries
+from charthree import automorphisms, cli, localseries, polyfamilies
+from charthree.curve import Curve
 from charthree.cli import main
 from charthree.errors import CertificateError
 
@@ -234,3 +235,69 @@ def test_verify_reports_a_failing_expansion_as_a_row(capsys, monkeypatch):
     valuations = [r for r in rows if r["check"].startswith("valuations[")]
     assert valuations and all(not r["ok"] and r["detail"] == "precision too low"
                               for r in valuations)
+
+
+def _raise(exc):
+    def broken(*args, **kwargs):
+        raise exc
+    return broken
+
+
+def test_verify_reports_a_failing_polyfam_check_as_a_row(capsys, monkeypatch):
+    monkeypatch.setattr(polyfamilies, "corollary_check_symbolic",
+                        _raise(ArithmeticError("i above the packed bound")))
+    rows = _failing_verify(capsys, ["verify", "--t", "2", "--scope", "polyfam"])
+    assert rows == [
+        {"check": "polyfam.closed_vs_recursive", "ok": True, "detail": ""},
+        {"check": "polyfam.symbolic_corollary", "ok": False,
+         "detail": "i above the packed bound"}]
+
+
+def test_verify_reports_a_failing_enumeration_as_a_row(capsys, monkeypatch):
+    monkeypatch.setattr(Curve, "enumerate_rational",
+                        _raise(ArithmeticError("bucket mismatch")))
+    rows = _failing_verify(capsys, ["verify", "--t", "2", "--scope", "semigroups"])
+    census = [r for r in rows if r["check"] == "census.count"]
+    assert census == [{"check": "census.count", "ok": False,
+                       "detail": "bucket mismatch"}]
+    # the sampled places are still certified
+    assert any(r["check"].startswith("gap_certificates[") and r["ok"] for r in rows)
+
+
+def test_verify_reports_a_failing_sampling_as_a_row(capsys, monkeypatch):
+    monkeypatch.setattr(Curve, "sample_nonrational",
+                        _raise(ValueError("no root of unity")))
+    rows = _failing_verify(capsys, ["verify", "--t", "2", "--scope", "semigroups"])
+    sampled = [r for r in rows if r["check"] == "nonrational.sampled"]
+    assert sampled == [{"check": "nonrational.sampled", "ok": False,
+                        "detail": "no root of unity"}]
+    assert any(r["check"].startswith("nongap_certificates[") and r["ok"] for r in rows)
+
+
+def test_verify_reports_a_failing_group_as_a_row(capsys, monkeypatch):
+    monkeypatch.setattr(automorphisms, "group_elements",
+                        _raise(CertificateError("|G| must be 2q^2/3")))
+    rows = _failing_verify(capsys, ["verify", "--t", "2", "--scope", "autgroup"])
+    assert rows == [{"check": "autgroup.order", "ok": False,
+                     "detail": "|G| must be 2q^2/3"}]
+
+
+def test_verify_reports_a_failing_census_as_a_row(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "full_census", _raise(ValueError("not a product")))
+    rows = _failing_verify(capsys, ["verify", "--t", "2", "--scope", "autgroup"])
+    assert [r["check"] for r in rows] == ["autgroup.order", "autgroup.orbits_partition"]
+    assert rows[0]["ok"] and not rows[1]["ok"] and rows[1]["detail"] == "not a product"
+
+
+@pytest.mark.parametrize("scope", ["all", "autgroup"])
+def test_verify_enumerates_once(capsys, monkeypatch, scope):
+    calls = []
+    enumerate_rational = Curve.enumerate_rational
+
+    def counted(self):
+        calls.append(self.q)
+        return enumerate_rational(self)
+
+    monkeypatch.setattr(Curve, "enumerate_rational", counted)
+    code, _ = run_cli(capsys, "verify", "--t", "2", "--scope", scope)
+    assert code == 0 and calls == [9]

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from charthree.curve import Curve, _roots_of_unity
+from charthree.curve import Curve, _linear_table, _roots_of_unity
 from charthree.factorint import euler_phi
 from charthree.fields import mult_order
 
@@ -184,3 +184,41 @@ def test_place_census_q27_class_counts(curve27, places27):
     owners = Counter(p.place_class.i for p in places27
                      if p.place_class.kind == "rational_general")
     assert owners == {3: 486, 6: 1458, 13: 1458, 27: 2916}
+
+
+def _bucket_scan(curve):
+    """The FieldElement scan `enumerate_rational` replaced: a^q + a and
+    p(b)^2 computed element by element, a's bucketed by a^q + a."""
+    lvl = curve.base
+    buckets = {}
+    for a in lvl.iter_elements():
+        buckets.setdefault((curve.frob_q(a) + a).pk, []).append(a)
+    rows = []
+    for b in lvl.iter_elements():
+        pb = curve.p_map(b)
+        beta = pb * pb
+        for a in buckets.get((-beta).pk, ()):
+            rows.append((a.pk, b.pk, beta.pk, 1, curve.classify_beta(beta, 1)))
+    return rows
+
+
+@pytest.mark.parametrize("curve_name,places_name", [("curve9", "places9"),
+                                                    ("curve27", "places27")])
+def test_enumerate_rational_matches_bucket_scan(request, curve_name, places_name):
+    curve = request.getfixturevalue(curve_name)
+    places = request.getfixturevalue(places_name)
+    assert places[0].is_infinity()
+    assert [(p.a.pk, p.b.pk, p.beta.pk, p.degree, p.place_class)
+            for p in places[1:]] == _bucket_scan(curve)
+
+
+@pytest.mark.parametrize("curve_name", ["curve9", "curve27"])
+def test_linear_table_matches_the_maps(request, curve_name):
+    curve = request.getfixturevalue(curve_name)
+    lvl = curve.base
+    assert lvl.n == 2 * curve.t
+    basis = [lvl.basis_element(j) for j in range(lvl.n)]
+    elements = list(lvl.iter_elements())
+    for f in (lambda x: curve.frob_q(x) + x, curve.p_map):
+        table = _linear_table([f(x).pk for x in basis])
+        assert table == [f(x).pk for x in elements]

@@ -9,8 +9,9 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "charthree"
 
 
-@pytest.mark.parametrize("module", ["curve.py", "fields.py", "localseries.py",
-                                    "polyfamilies.py", "weierstrass.py"])
+@pytest.mark.parametrize("module", ["automorphisms.py", "curve.py", "fields.py",
+                                    "localseries.py", "polyfamilies.py",
+                                    "semigroups.py", "weierstrass.py"])
 def test_module_has_no_assert(module):
     tree = ast.parse((SRC / module).read_text(), filename=module)
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]

@@ -1,3 +1,7 @@
+import pytest
+
+from charthree.curve import Curve
+from charthree.errors import CertificateError
 from charthree.semigroups import is_cofinite_monoid
 from charthree.weierstrass import (full_census, generic_gap_set,
                                    interval_gap_set, semigroup_at,
@@ -172,4 +176,19 @@ def test_full_census_q9(curve9):
                                    "beta_one": 54, "rational_general": 216}
     assert report.p_order_counts == {4: 108, 9: 108}
     assert report.orbit_sizes == [1, 27, 54, 54, 54, 54, 54]
+    assert report.orbits_class_constant
+
+
+def test_full_census_rejects_a_place_set_not_closed_under_g(curve9, places9):
+    with pytest.raises(CertificateError, match="not a census place"):
+        full_census(curve9, places9[:-1])
+
+
+def test_full_census_q81():
+    report = full_census(Curve(4))
+    assert report.total_places == 181522    # q^2 + 1 + 2q g
+    assert report.class_counts == {"infinity": 1, "beta_zero": 2187,
+                                   "beta_one": 4374, "rational_general": 174960}
+    assert report.p_order_counts == {40: 87480, 81: 87480}
+    assert report.orbit_sizes == [1, 2187] + [4374] * 41
     assert report.orbits_class_constant
