@@ -219,7 +219,11 @@ def _resolve_place(curve: Curve, args) -> Place:
 def cmd_semigroup(args) -> int:
     curve = _make_curve(args)
     place = _resolve_place(curve, args)
-    assignment = semigroup_at(curve, place)
+    try:
+        assignment = semigroup_at(curve, place)
+    except (ArithmeticError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     result = {
         "place": _place_row(place),
         "theorem_tag": assignment.theorem_tag,

@@ -1,8 +1,11 @@
 """Integer factorization helpers: deterministic Miller-Rabin plus Brent's rho.
 
-Sized for the group orders that occur here (3^n - 1 with n <= 48, i.e.
-below 8e22), where trial division to 10^6 followed by Brent's cycle
-finding factors everything in well under a second.
+Miller-Rabin with the 13 prime bases 2..41 is deterministic below
+psi_13 = 3317044064679887385961981 (about 3.3e24; OEIS A014233); the 12
+bases 2..37 are not, since psi_12 = 318665857834031151167461 passes them.
+The group orders 3^n - 1 of the tower (n <= MAX_DEGREE = 96) are far
+larger, so a cofactor above psi_13 left after trial division to 10^6 is
+only probably prime; Brent's cycle finding splits the composite ones.
 """
 
 from __future__ import annotations
@@ -11,14 +14,14 @@ import math
 
 _TRIAL_BOUND = 10**6
 
-# Deterministic Miller-Rabin witness set for n < 3.3e24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Deterministic Miller-Rabin witness set for n < psi_13 (about 3.3e24).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1

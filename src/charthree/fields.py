@@ -26,6 +26,12 @@ x // 3 = (43 x) >> 7, and 43 x < 2^11 stays inside its limb, so one
 multiply, shift and mask give every quotient at once, and x - 3 (x // 3)
 is the residue.  The masks span 2 * MAX_DEGREE - 1 limbs, the width of a
 raw product of two top-level elements; a wider value is rejected.
+
+Reducing a raw product mod the modulus (`FieldLevel.reduce_raw`) folds
+its n - 1 high limbs 4 at a time through tables built with the level:
+one dict per chunk maps each of the 81 canonical chunks to the canonical
+value of its X^(n+j) terms mod the modulus, so a product costs two SWAR
+passes and ceil((n - 1)/4) lookups instead of a loop over limbs.
 """
 
 from __future__ import annotations
@@ -54,7 +60,7 @@ _L4 = _repeat(0xF, 2 * MAX_DEGREE - 1)
 
 # ---------------------------------------------------------------------------
 # packed polynomials over F_3, the one representation of F_3[X] (modulus
-# search, reduction rows, inverses, root search and the symbolic families)
+# search, reduction tables, inverses, root search and the symbolic families)
 
 
 def _p3_pack(coeffs: Iterable[int]) -> int:
@@ -152,6 +158,25 @@ def _lex_smallest_irreducible(n: int) -> tuple[int, ...]:
             if j > 400_000:
                 break
     raise ArithmeticError(f"no irreducible of degree {n} found in scan budget")
+
+
+_CHUNK = 4  # high limbs folded per table lookup in `reduce_raw`
+_CHUNK_BITS = _W * _CHUNK
+_CHUNK_MASK = (1 << _CHUNK_BITS) - 1
+
+
+def _chunk_table(rows: list[int]) -> dict[int, int]:
+    """Every canonical packed (c_0, .., c_{k-1}) -> canonical sum c_j rows[j].
+
+    Built like a counter: the table over rows[:j + 1] is T, T + row and
+    T + 2 row for the table T over rows[:j]."""
+    table = {0: 0}
+    for j, row in enumerate(rows):
+        row2 = _p3_canon(2 * row)
+        table.update([(key | d << (_W * j), _p3_canon(val + r))
+                      for key, val in list(table.items())
+                      for d, r in ((1, row), (2, row2))])
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +298,8 @@ class FieldElement:
 class FieldLevel:
     """F_{3^n} = F_3[X]/(modulus), with packed-int arithmetic kernels."""
 
-    __slots__ = ("tower", "n", "modulus", "_red_rows", "_threes",
-                 "_low_mask", "_nonresidue", "_mulorder_group")
+    __slots__ = ("tower", "n", "modulus", "_fold", "_threes",
+                 "_low_mask", "_raw_bits", "_nonresidue", "_mulorder_group")
 
     def __init__(self, tower: "FieldTower | None", n: int,
                  modulus: tuple[int, ...] | None = None):
@@ -287,9 +312,11 @@ class FieldLevel:
         self.modulus = modulus
         self._threes = _repeat(3, n)
         self._low_mask = (1 << (_W * n)) - 1
-        # reduction rows: X^(n+j) mod modulus, j = 0 .. n-2
+        self._raw_bits = _W * (2 * n - 1)
+        # fold tables: X^(n+j) mod modulus for j = 0 .. n-2, then, per
+        # chunk of 4 high limbs, every canonical chunk -> its reduced value
         rows = []
-        if n >= 1:
+        if n >= 2:
             row = _p3_pack((-c) % 3 for c in modulus[:n])
             rows.append(row)
             for _ in range(n - 2):
@@ -298,7 +325,8 @@ class FieldLevel:
                 shifted &= (1 << (_W * n)) - 1
                 row = _p3_canon(shifted + top * rows[0])
                 rows.append(row)
-        self._red_rows = rows
+        self._fold = [_chunk_table(rows[k:k + _CHUNK])
+                      for k in range(0, len(rows), _CHUNK)]
         self._nonresidue = None
         self._mulorder_group = None
 
@@ -338,23 +366,31 @@ class FieldLevel:
 
     def reduce_raw(self, raw: int) -> int:
         """Canonical packed value of a raw (unreduced) product/accumulation
-        of at most 2n - 1 limbs.
+        of at most 2n - 1 limbs (a negative or wider value raises
+        `ValueError`).
 
-        Each high limb is folded in as c * X^(n+j) mod modulus with c in
-        {1, 2}, adding at most 4 to a low limb per row, so input limbs
-        must stay below 2^16 - 4(n - 1); accumulated convolution sums stay
-        far below that.  The sum is canonicalised by the SWAR fold of
-        `_p3_canon`.
+        The n - 1 high limbs are canonicalised and folded 4 at a time: each
+        chunk c_0..c_3 is looked up in its table, which holds the canonical
+        value of sum c_j X^(n+4k+j) mod modulus.  That adds at most 2 per
+        table, 2 * ceil((n - 1)/4) <= 4(n - 1) in all, to a low limb, so
+        input limbs must stay below 2^16 - 4(n - 1); accumulated
+        convolution sums stay far below that.  The sum is canonicalised by
+        the SWAR fold of `_p3_canon`.
         """
+        if raw < 0 or raw.bit_length() > self._raw_bits:
+            raise ValueError(f"raw value negative or wider than {2 * self.n - 1} limbs")
         acc = raw & self._low_mask
+        # canonicalise the high limbs by the SWAR of `_p3_canon`, inlined
+        # because this is the hottest kernel; the width is checked above
         high = raw >> (_W * self.n)
-        j = 0
-        while high:
-            c = (high & _MASK) % 3
-            if c:
-                acc += c * self._red_rows[j]
-            high >>= _W
-            j += 1
+        high = (high & _L8) + ((high >> 8) & _L8)
+        high = (high & _L4) + ((high >> 4) & _L8)
+        high -= 3 * (((43 * high) >> 7) & _L4)
+        for tab in self._fold:
+            if not high:
+                break
+            acc += tab[high & _CHUNK_MASK]
+            high >>= _CHUNK_BITS
         return _p3_canon(acc)
 
     def mul_packed(self, pa: int, pb: int) -> int:

@@ -205,6 +205,17 @@ def test_semigroup_rejects_negative_index(capsys):
     assert "--index" in err
 
 
+@pytest.mark.parametrize("exc", [CertificateError("gap set mismatch"),
+                                 ValueError("precision too low")])
+def test_semigroup_reports_a_failure_as_one_error_line(capsys, monkeypatch, exc):
+    monkeypatch.setattr(cli, "semigroup_at", _raise(exc))
+    code = main(["semigroup", "--t", "2", "--place", "infinity"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {exc}\n"
+
+
 def _failing_verify(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()

@@ -38,3 +38,13 @@ def test_euler_phi():
     assert euler_phi(5) == 4
     assert euler_phi(10) == 4
     assert euler_phi(28) == 12
+
+
+def test_is_prime_rejects_the_strong_pseudoprime_to_bases_up_to_37():
+    # psi_12 (OEIS A014233) passes Miller-Rabin for every base 2..37; base
+    # 41 exposes it, which makes the 13 bases deterministic below psi_13
+    psi_12 = 318665857834031151167461
+    assert psi_12 == 399165290221 * 798330580441
+    assert is_prime(399165290221) and is_prime(798330580441)
+    assert not is_prime(psi_12)
+    assert is_prime(41) and not is_prime(41 * 43)

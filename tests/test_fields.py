@@ -86,6 +86,48 @@ def test_p3_canon_rejects_wide_or_negative_input():
         _p3_canon(-3)
 
 
+def _reduce_by_long_division(raw, modulus):
+    """Plain long division of a raw packed value (limbs taken mod 3) by the
+    monic modulus over F_3, the reference for `reduce_raw`."""
+    n = len(modulus) - 1
+    limbs = []
+    while raw:
+        limbs.append((raw & 0xFFFF) % 3)
+        raw >>= 16
+    for k in range(len(limbs) - 1, n - 1, -1):
+        c = limbs[k]
+        if c:
+            for j, m in enumerate(modulus):
+                limbs[k - n + j] = (limbs[k - n + j] - c * m) % 3
+    return _pack_limbs(limbs[:n])
+
+
+REDUCE_DEGREES = (1, 2, 3, 4, 5, 8, 16, 48, 72, 96)
+
+
+@pytest.mark.parametrize("n", REDUCE_DEGREES)
+def test_reduce_raw_matches_long_division(n):
+    lvl = FieldLevel(None, n)
+    rng = random.Random(n)
+    top = (1 << 16) - 4 * (n - 1) - 1   # the largest limb `reduce_raw` accepts
+    width = 2 * n - 1
+    raws = [lvl.random_element(rng).pk * lvl.random_element(rng).pk for _ in range(40)]
+    raws += [_pack_limbs(rng.randrange(top + 1) for _ in range(width)) for _ in range(40)]
+    raws += [_pack_limbs([top] * width), _pack_limbs([top - 1] * width),
+             _pack_limbs([top - 2] * width), top << (16 * (width - 1)), 0, 1]
+    for raw in raws:
+        assert lvl.reduce_raw(raw) == _reduce_by_long_division(raw, lvl.modulus)
+    assert all(len(tab) == 3 ** min(4, n - 1 - 4 * k) for k, tab in enumerate(lvl._fold))
+
+
+def test_reduce_raw_rejects_a_value_wider_than_a_product():
+    for n in (1, 4, 9):
+        lvl = FieldLevel(None, n)
+        for raw in (1 << (16 * (2 * n - 1)), -1):
+            with pytest.raises(ValueError, match="negative or wider"):
+                lvl.reduce_raw(raw)
+
+
 def test_moduli_irreducible_gcd_criterion(tower9):
     # independent irreducibility check: gcd(f, X^(3^k) - X) = 1 for k < n
     for n, lvl in sorted(tower9.levels.items()):

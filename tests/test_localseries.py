@@ -3,6 +3,7 @@ import random
 import pytest
 
 import charthree.localseries as localseries
+from charthree.fields import FieldLevel
 from charthree.localseries import (LocalData, TruncatedSeries,
                                    build_beta1_chain, expand_coordinates,
                                    expand_x_at_beta_zero)
@@ -46,6 +47,47 @@ def test_series_mul_valuation_additivity(tower9):
         rhs = a * b + a * c
         common = min(lhs.prec, rhs.prec)
         assert lhs.truncate(common) == rhs.truncate(common)
+
+
+def _schoolbook_product(a, b):
+    """Dense reference for a * b: every coefficient pair, in FieldElement
+    arithmetic."""
+    lvl = a.level
+    val = a.val + b.val
+    prec = min(a.val + b.prec, b.val + a.prec)
+    coeffs = []
+    for e in range(val, prec):
+        acc = lvl.zero()
+        for i in range(a.val, e - b.val + 1):
+            acc = acc + a.coefficient(i) * b.coefficient(e - i)
+        coeffs.append(acc)
+    return TruncatedSeries.from_coeffs(lvl, val, coeffs, prec)
+
+
+def _random_series(rng, lvl, density):
+    val = rng.randrange(0, 5)
+    prec = val + rng.randrange(1, 30)
+    coeffs = [lvl.random_element(rng) if rng.random() < density else lvl.zero()
+              for _ in range(prec - val)]
+    return TruncatedSeries.from_coeffs(lvl, val, coeffs, prec)
+
+
+@pytest.mark.parametrize("n", [1, 4, 24])
+def test_sparse_series_product_matches_schoolbook(n):
+    lvl = FieldLevel(None, n)
+    rng = random.Random(31 + n)
+    for _ in range(60):
+        a = _random_series(rng, lvl, rng.choice((0.0, 0.1, 0.5, 1.0)))
+        b = _random_series(rng, lvl, rng.choice((0.0, 0.1, 0.5, 1.0)))
+        assert a * b == _schoolbook_product(a, b)
+        assert b * a == _schoolbook_product(b, a)
+    one_term = TruncatedSeries.monomial(lvl.gen() if n > 1 else -lvl.one(), 3, 20)
+    dense = TruncatedSeries.from_coeffs(
+        lvl, 0, [lvl.random_element(rng) or lvl.one() for _ in range(25)], 25)
+    zero = TruncatedSeries.zero(lvl, 9)
+    for a, b in [(one_term, dense), (dense, dense), (one_term, one_term),
+                 (zero, dense), (dense, zero), (zero, zero)]:
+        assert a * b == _schoolbook_product(a, b)
 
 
 def test_series_precision_rules(tower9):
