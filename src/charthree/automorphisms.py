@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .curve import Curve, Place, _linear_table
+from .curve import Curve, Place
 from .errors import require
-from .fields import FieldElement, _p3_canon
+from .fields import FieldElement, _linear_table, _p3_canon
 
 
 @dataclass(frozen=True)
@@ -26,9 +26,6 @@ class Automorphism:
         if self.eps not in (1, -1):
             raise ValueError("eps must be +1 or -1")
 
-    def is_identity(self) -> bool:
-        return self.a.is_zero() and self.b.is_zero() and self.eps == 1
-
 
 def make_automorphism(curve: Curve, a: FieldElement, b: FieldElement,
                       eps: int) -> Automorphism:
@@ -36,9 +33,7 @@ def make_automorphism(curve: Curve, a: FieldElement, b: FieldElement,
         raise ValueError("a must satisfy a^q + a = 0")
     if not curve.p_map(b).is_zero():
         raise ValueError("b must satisfy p(b) = 0")
-    if eps not in (1, -1):
-        raise ValueError("eps must be +1 or -1")
-    return Automorphism(a, b, eps)
+    return Automorphism(a, b, eps)     # which checks eps
 
 
 def identity(curve: Curve) -> Automorphism:

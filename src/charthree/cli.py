@@ -1,7 +1,7 @@
 """Command-line interface: enumerate, classify, compute, verify, export.
 
 Subcommands: places, semigroup, verify, polyfam, aut, each accepting the
-global flags --t, --format, --seed, --prec, --out.  Exit codes: 0
+global flags --t, --format, --seed, --out, --q-cap.  Exit codes: 0
 success, 1 verification failure, 2 usage error.  JSON is the format of
 record: top level {"q", "genus", "command", "results"}, field elements
 as low-degree-first coefficient vectors with the moduli recorded in a
@@ -17,9 +17,10 @@ import json
 import random
 import sys
 
-from . import polyfamilies
+from . import automorphisms, localseries, polyfamilies
 from .curve import Curve, Place
-from .weierstrass import full_census, semigroup_at, verify_gaps, verify_nongaps
+from .weierstrass import (class_representatives, full_census, semigroup_at,
+                          verify_gaps, verify_nongaps)
 
 _CAP_DEFAULT = 27
 _CAP_HARD = 81
@@ -30,8 +31,6 @@ def _common_flags(p: argparse.ArgumentParser):
                    help="field exponent: q = 3^t (t >= 2)")
     p.add_argument("--format", choices=("json", "csv", "text"), default="json")
     p.add_argument("--seed", type=int, default=0, help="sampling seed")
-    p.add_argument("--prec", type=int, default=None,
-                   help="series precision override (default 2q+1)")
     p.add_argument("--out", type=str, default=None, help="output path")
     p.add_argument("--q-cap", type=int, default=_CAP_DEFAULT,
                    help=f"largest allowed q (hard cap {_CAP_HARD})")
@@ -274,11 +273,47 @@ def cmd_polyfam(args) -> int:
     return 1 if failures else 0
 
 
+def _guard(rows: list, name: str, fn, *fn_args, ok=bool, detail=lambda value: ""):
+    """Run fn(*fn_args) and append the row `name` to `rows`: its ok is
+    ok(result) and its detail is detail(result), or, when fn raises an
+    ArithmeticError or ValueError, ok is false and the detail is the error.
+    Returns the result, or None after an error."""
+    try:
+        value = fn(*fn_args)
+    except (ArithmeticError, ValueError) as exc:
+        rows.append({"check": name, "ok": False, "detail": str(exc)})
+        return None
+    rows.append({"check": name, "ok": bool(ok(value)), "detail": detail(value)})
+    return value
+
+
+def _group_census(curve: Curve, places, rows: list):
+    """The automorphism group and the census of the rational places
+    (`places`, or enumerated by `full_census`) under it, with the autgroup
+    rows appended to `rows`.  Returns (elements, report), with None for
+    the step that failed and each one after it."""
+    order = 2 * curve.q * curve.q // 3
+    elements = _guard(rows, "autgroup.order", automorphisms.group_elements, curve,
+                      ok=lambda els: len(els) == order,
+                      detail=lambda els: f"|G| = {len(els)}")
+    if elements is None:
+        return None, None
+    report = _guard(rows, "autgroup.orbits_partition", full_census, curve, places,
+                    elements, ok=lambda r: sum(r.orbit_sizes) == r.total_places,
+                    detail=lambda r: f"sizes {r.orbit_sizes}")
+    if report is not None:
+        rows.append({"check": "autgroup.orbit_class_constant",
+                     "ok": report.orbits_class_constant, "detail": ""})
+    return elements, report
+
+
 def cmd_aut(args) -> int:
-    from . import automorphisms
     curve = _make_curve(args)
-    elements = automorphisms.group_elements(curve)
-    report = full_census(curve, elements=elements)
+    rows: list[dict] = []
+    elements, report = _group_census(curve, None, rows)
+    if report is None:
+        print(f"error: {rows[-1]['detail']}", file=sys.stderr)
+        return 1
     ident = automorphisms.identity(curve)
     axioms_ok = all(
         automorphisms.compose(sig, automorphisms.inverse(sig)) == ident
@@ -290,41 +325,14 @@ def cmd_aut(args) -> int:
         "orbit_sizes": report.orbit_sizes,
         "orbits_class_constant": report.orbits_class_constant,
     }
-    ok = (len(elements) == result["expected_order"] and axioms_ok
-          and report.orbits_class_constant)
     _emit(_document(curve, "aut", [result]), args.format, args.out)
-    return 0 if ok else 1
+    return 0 if axioms_ok and all(r["ok"] for r in rows) else 1
 
 
 def cmd_verify(args) -> int:
     curve = _make_curve(args)
-    results = []
-    failed = False
-
-    def record(name, ok, detail=""):
-        nonlocal failed
-        results.append({"check": name, "ok": bool(ok), "detail": detail})
-        if not ok:
-            failed = True
-
-    def attempt(name, fn, *fn_args, **fn_kwargs):
-        """(True, fn(...)), or (False, None) after an ok: false row."""
-        try:
-            return True, fn(*fn_args, **fn_kwargs)
-        except (AssertionError, ArithmeticError, ValueError) as exc:
-            record(name, False, str(exc))
-            return False, None
-
-    def run(name, fn, *fn_args):
-        if attempt(name, fn, *fn_args)[0]:
-            record(name, True)
-
-    def check(name, fn, *fn_args):
-        """A row whose ok is fn's boolean result."""
-        ok, value = attempt(name, fn, *fn_args)
-        if ok:
-            record(name, value)
-
+    q, m = curve.q, curve.m
+    rows: list[dict] = []
     scope = args.scope
     if scope in ("polyfam", "all"):
         def closed_vs_recursive():
@@ -342,90 +350,76 @@ def cmd_verify(args) -> int:
                     ok = False
             return ok
 
-        check("polyfam.closed_vs_recursive", closed_vs_recursive)
-        check("polyfam.symbolic_corollary", polyfamilies.corollary_check_symbolic, 12)
+        _guard(rows, "polyfam.closed_vs_recursive", closed_vs_recursive)
+        _guard(rows, "polyfam.symbolic_corollary",
+               polyfamilies.corollary_check_symbolic, 12)
 
-    reps: dict[str, Place] = {}
-    samples: list[Place] = []
+    reps: dict[str, Place] = {}     # one rational place per class
+    samples: list[Place] = []       # one sampled place per non-rational class
     places = None       # the census list, passed on to the autgroup scope
     if scope in ("semigroups", "valuations", "all"):
-        ok, places = attempt("census.count", curve.enumerate_rational)
-        if ok:
-            expected = curve.q * curve.q + 1 + 2 * curve.q * curve.genus
-            record("census.count", len(places) == expected,
-                   f"{len(places)} places (want {expected})")
-            for p in places:
-                reps.setdefault(str(p.place_class), p)
-
-        def sample_all():
-            return [p for o in curve.feasible_gamma_orders()
-                    for p in curve.sample_nonrational(o, count=1)]
-
-        ok, samples = attempt("nonrational.sampled", sample_all)
-        if ok:
-            record("nonrational.sampled", bool(samples),
-                   f"{len(samples)} places, classes "
-                   f"{sorted({str(p.place_class) for p in samples})}")
-        else:
-            samples = []
+        expected = q * q + 1 + 2 * q * curve.genus
+        places = _guard(rows, "census.count", curve.enumerate_rational,
+                        ok=lambda found: len(found) == expected,
+                        detail=lambda found: f"{len(found)} places (want {expected})")
+        reps = class_representatives(places or ())
+        by_class = _guard(rows, "nonrational.sampled", curve.sample_classes, 1,
+                          detail=lambda found: f"{len(found)} places, classes "
+                                               f"{sorted(found)}")
+        samples = [pls[0] for pls in (by_class or {}).values()]
 
     if scope in ("valuations", "all"):
-        from .localseries import LocalData, build_beta1_chain
+        def chain(p):
+            """The whole chain of p's class: h at beta = 1, f at the other
+            rational places, g at a sampled place.  Never empty."""
+            local = localseries.LocalData(curve, p)
+            cls = p.place_class
+            if cls.kind == "beta_one":
+                return localseries.build_beta1_chain(curve, local.basis, m - 1)
+            if cls.K is None:
+                return local.f_chain(min(cls.i, m - 1))
+            return local.g_chain(min(cls.K, m - 2))
 
-        def rational_chain(p):
-            local = LocalData(curve, p, prec=args.prec)
-            if p.place_class.kind == "beta_one":
-                build_beta1_chain(curve, local.basis, curve.m - 1)
-            else:
-                local.f_chain(min(p.place_class.i, curve.m - 1))
-
-        def sampled_chain(p):
-            LocalData(curve, p, prec=args.prec).g_chain(min(p.place_class.K, curve.m - 2))
-
-        for tag, p in sorted(reps.items()):
-            if not (p.is_infinity() or p.beta.is_zero()):
-                run(f"valuations[{tag}]", rational_chain, p)
-        for p in samples:
-            run(f"valuations[{p.place_class}]", sampled_chain, p)
+        rational = [p for _, p in sorted(reps.items())
+                    if not (p.is_infinity() or p.beta.is_zero())]
+        for p in rational + samples:
+            _guard(rows, f"valuations[{p.place_class}]", chain, p)
 
     if scope in ("semigroups", "all"):
-        def certify(name, verify, assignment, noun):
-            ok, certs = attempt(name, verify, curve, assignment, prec=args.prec)
-            if ok:
-                record(name, all(c.verified for c in certs), f"{len(certs)} {noun}")
-                results[-1]["certificates"] = [
-                    {"value": c.value, "witness": c.witness, "v_at_P": c.v_at_P,
+        def verified(certs):
+            return all(c.verified for c in certs)
+
+        def certificates(certs):
+            return [{"value": c.value, "witness": c.witness, "v_at_P": c.v_at_P,
                      "method": c.method, "ok": c.verified} for c in certs]
 
+        def gap_certificates(p):
+            assignment = semigroup_at(curve, p)
+            return assignment.theorem_tag, verify_gaps(curve, assignment)
+
         for tag, p in sorted(reps.items()):
-            name = f"semigroup.genus[{tag}]"
-            ok, assignment = attempt(name, semigroup_at, curve, p)
-            if ok:
-                record(name, assignment.gap_set.genus == curve.genus)
-                certify(f"nongap_certificates[{tag}]", verify_nongaps, assignment,
-                        "witnesses")
+            assignment = _guard(rows, f"semigroup.genus[{tag}]", semigroup_at, curve, p,
+                                ok=lambda a: a.gap_set.genus == curve.genus)
+            if assignment is None:
+                continue
+            certs = _guard(rows, f"nongap_certificates[{tag}]", verify_nongaps, curve,
+                           assignment, ok=verified,
+                           detail=lambda found: f"{len(found)} witnesses")
+            if certs is not None:
+                rows[-1]["certificates"] = certificates(certs)
         for p in samples:
-            ok, assignment = attempt(f"gap_certificates[{p.place_class}]",
-                                     semigroup_at, curve, p)
-            if ok:
-                certify(f"gap_certificates[{assignment.theorem_tag}]", verify_gaps,
-                        assignment, "gaps witnessed")
+            found = _guard(rows, f"gap_certificates[{p.place_class}]", gap_certificates,
+                           p, ok=lambda f: verified(f[1]),
+                           detail=lambda f: f"{len(f[1])} gaps witnessed")
+            if found is not None:
+                # a certified row is named by the theorem that gave the gap set
+                rows[-1].update(check=f"gap_certificates[{found[0]}]",
+                                certificates=certificates(found[1]))
 
     if scope in ("autgroup", "all"):
-        from . import automorphisms
-        ok, elements = attempt("autgroup.order", automorphisms.group_elements, curve)
-        if ok:
-            record("autgroup.order", len(elements) == 2 * curve.q * curve.q // 3,
-                   f"|G| = {len(elements)}")
-            ok, report = attempt("autgroup.orbits_partition", full_census, curve,
-                                 places, elements)
-            if ok:
-                record("autgroup.orbits_partition",
-                       sum(report.orbit_sizes) == report.total_places,
-                       f"sizes {report.orbit_sizes}")
-                record("autgroup.orbit_class_constant", report.orbits_class_constant)
-    _emit(_document(curve, "verify", results), args.format, args.out)
-    return 1 if failed else 0
+        _group_census(curve, places, rows)
+    _emit(_document(curve, "verify", rows), args.format, args.out)
+    return 0 if all(r["ok"] for r in rows) else 1
 
 
 def main(argv=None) -> int:

@@ -25,8 +25,7 @@ from dataclasses import dataclass
 from .errors import CertificateError, require
 from .f3linalg import LinearSolver
 from .factorint import factorize
-from .fields import (MAX_DEGREE, FieldElement, FieldTower, _p3_canon, make_tower,
-                     trace_p)
+from .fields import MAX_DEGREE, FieldElement, _linear_table, make_tower, trace_p
 from .polyfamilies import p_order, r_order
 
 INFINITY = "infinity"
@@ -87,8 +86,7 @@ class HermitianLift:
 class Curve:
     """Context object: q = 3^t, the tower, and all place-level operations."""
 
-    def __init__(self, t: int, tower: FieldTower | None = None,
-                 max_degree: int = MAX_DEGREE):
+    def __init__(self, t: int):
         if t < 2:
             raise ValueError("t must be >= 2 (t = 1 gives an elliptic curve "
                              "with infinite automorphism group)")
@@ -96,7 +94,7 @@ class Curve:
         self.q = 3 ** t
         self.m = self.q // 3
         self.genus = self.q * (self.q - 1) // 6
-        self.tower = tower if tower is not None else make_tower(t, max_degree=max_degree)
+        self.tower = make_tower(t)
         self.base = self.tower.level(2 * t)     # F_{q^2}
         self._beta_class_cache: dict[tuple[int, int], PlaceClass] = {}
         self._solver_cache: dict[tuple[str, int], LinearSolver] = {}
@@ -299,13 +297,11 @@ class Curve:
 
     # -- sampling of non-rational places ---------------------------------------
 
-    def feasible_gamma_orders(self, max_rel_degree: int = 4,
-                              max_order: int | None = None) -> list[int]:
+    def feasible_gamma_orders(self, max_rel_degree: int = 4) -> list[int]:
         """gamma-orders o whose root of unity fits in some F_{q^(2d)}, d <= 4,
         and which belong to non-rational places (o does not divide q+1)."""
         out = []
-        cap = max_order if max_order is not None else 3 * self.m
-        for o in range(4, cap + 1):
+        for o in range(4, self.q + 1):
             if o % 3 == 0 or (self.q + 1) % o == 0:
                 continue
             e0 = _mult_order_int(3, o)
@@ -335,7 +331,7 @@ class Curve:
         seen: set[tuple] = set()
         for d in range(1, max_rel_degree + 1):
             N = 2 * self.t * d
-            if N % e0 != 0 or N > self.tower.max_degree:
+            if N % e0 != 0 or N > MAX_DEGREE:
                 continue
             lvl = self.tower.level(N)
             bker = self.kernel_trace_p(N)
@@ -370,20 +366,18 @@ class Curve:
                 return places
         return places
 
-
-def _linear_table(cols: list[int]) -> list[int]:
-    """Packed images of every element under the F_3-linear map whose basis
-    images X^j -> cols[j] are given packed, in `iter_elements` order.
-
-    Digit j of the counter has weight 3^j, so the table for the first
-    j + 1 basis vectors is the table T for the first j, then T + col, then
-    T + 2 col: one `_p3_canon` per entry."""
-    table = [0]
-    for col in cols:
-        col2 = _p3_canon(2 * col)
-        table += ([_p3_canon(x + col) for x in table]
-                  + [_p3_canon(x + col2) for x in table])
-    return table
+    def sample_classes(self, count: int) -> dict[str, list[Place]]:
+        """Up to `count` sampled places of each non-rational class that
+        `sample_nonrational` realizes, keyed by class tag, in
+        `feasible_gamma_orders` order.  A gamma order is one class (the
+        P-order is the order minus 1), and the first place of a class does
+        not depend on `count`."""
+        by_class = {}
+        for o in self.feasible_gamma_orders():
+            places = self.sample_nonrational(o, count=count)
+            if places:
+                by_class[str(places[0].place_class)] = places
+        return by_class
 
 
 def _mult_order_int(base: int, mod: int) -> int:

@@ -160,23 +160,27 @@ def _lex_smallest_irreducible(n: int) -> tuple[int, ...]:
     raise ArithmeticError(f"no irreducible of degree {n} found in scan budget")
 
 
+def _linear_table(cols: list[int]) -> list[int]:
+    """Packed images of every element under the F_3-linear map whose basis
+    images X^j -> cols[j] are given packed, in `iter_elements` order.
+
+    Digit j of the counter has weight 3^j, so the table for the first
+    j + 1 basis vectors is the table T for the first j, then T + col, then
+    T + 2 col: one `_p3_canon` per entry."""
+    table = [0]
+    for col in cols:
+        col2 = _p3_canon(2 * col)
+        table += ([_p3_canon(x + col) for x in table]
+                  + [_p3_canon(x + col2) for x in table])
+    return table
+
+
 _CHUNK = 4  # high limbs folded per table lookup in `reduce_raw`
 _CHUNK_BITS = _W * _CHUNK
 _CHUNK_MASK = (1 << _CHUNK_BITS) - 1
-
-
-def _chunk_table(rows: list[int]) -> dict[int, int]:
-    """Every canonical packed (c_0, .., c_{k-1}) -> canonical sum c_j rows[j].
-
-    Built like a counter: the table over rows[:j + 1] is T, T + row and
-    T + 2 row for the table T over rows[:j]."""
-    table = {0: 0}
-    for j, row in enumerate(rows):
-        row2 = _p3_canon(2 * row)
-        table.update([(key | d << (_W * j), _p3_canon(val + r))
-                      for key, val in list(table.items())
-                      for d, r in ((1, row), (2, row2))])
-    return table
+# every canonical chunk, in `_linear_table` order: the keys of a fold table,
+# whose values are `_linear_table` of its k <= _CHUNK rows (the first 3^k keys)
+_CHUNK_KEYS = _linear_table([1 << (_W * j) for j in range(_CHUNK)])
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +303,7 @@ class FieldLevel:
     """F_{3^n} = F_3[X]/(modulus), with packed-int arithmetic kernels."""
 
     __slots__ = ("tower", "n", "modulus", "_fold", "_threes",
-                 "_low_mask", "_raw_bits", "_nonresidue", "_mulorder_group")
+                 "_low_mask", "_raw_bits", "_nonresidue")
 
     def __init__(self, tower: "FieldTower | None", n: int,
                  modulus: tuple[int, ...] | None = None):
@@ -325,10 +329,9 @@ class FieldLevel:
                 shifted &= (1 << (_W * n)) - 1
                 row = _p3_canon(shifted + top * rows[0])
                 rows.append(row)
-        self._fold = [_chunk_table(rows[k:k + _CHUNK])
+        self._fold = [dict(zip(_CHUNK_KEYS, _linear_table(rows[k:k + _CHUNK])))
                       for k in range(0, len(rows), _CHUNK)]
         self._nonresidue = None
-        self._mulorder_group = None
 
     # -- constructors -------------------------------------------------------
 
@@ -454,23 +457,15 @@ class _Embedding:
 class FieldTower:
     """A family of F_{3^n} levels with compatible embeddings between them."""
 
-    characteristic = 3
-
-    def __init__(self, max_degree: int = MAX_DEGREE):
-        if max_degree > MAX_DEGREE:
-            raise ValueError(f"max_degree {max_degree} exceeds the tower cap {MAX_DEGREE}")
-        self.max_degree = max_degree
+    def __init__(self):
         self.levels: dict[int, FieldLevel] = {}
         self._emb: dict[tuple[int, int], _Embedding] = {}
         self._orderfact: dict[int, dict[int, int]] = {}
 
     def level(self, n: int) -> FieldLevel:
-        return self.ensure_level(n)
-
-    def ensure_level(self, n: int) -> FieldLevel:
         if n not in self.levels:
-            if n < 1 or n > self.max_degree:
-                raise ValueError(f"level degree {n} outside [1, {self.max_degree}]")
+            if n < 1 or n > MAX_DEGREE:
+                raise ValueError(f"level degree {n} outside [1, {MAX_DEGREE}]")
             self.levels[n] = FieldLevel(self, n)
         return self.levels[n]
 
@@ -487,7 +482,7 @@ class FieldTower:
         for j, c in enumerate(x.coeffs):
             if c:
                 acc += c * emb.images[j]
-        return FieldElement(self.ensure_level(N), _p3_canon(acc))
+        return FieldElement(self.level(N), _p3_canon(acc))
 
     def section(self, x: FieldElement, n: int) -> FieldElement:
         """Inverse of embed on the image; raises if x is not in the subfield."""
@@ -498,14 +493,14 @@ class FieldTower:
         sol = emb.solver.solve(list(x.coeffs))
         if sol is None:
             raise ValueError(f"element not in the degree-{n} subfield")
-        return self.ensure_level(n).element(sol)
+        return self.level(n).element(sol)
 
     def _embedding(self, n: int, N: int) -> _Embedding:
         key = (n, N)
         if key in self._emb:
             return self._emb[key]
-        lvl_n = self.ensure_level(n)
-        lvl_N = self.ensure_level(N)
+        lvl_n = self.level(n)
+        lvl_N = self.level(N)
         if n == 1:
             images = [1]
         else:
@@ -692,9 +687,9 @@ def _eval_f3_poly(coeffs: tuple[int, ...], x: FieldElement) -> FieldElement:
 # public operations
 
 
-def make_tower(t: int, extra_degrees: Iterable[int] = (),
-               max_degree: int = MAX_DEGREE) -> FieldTower:
-    """Tower with levels for F_3, F_q, F_{q^2} (q = 3^t) and F_{q^(2d)} extras.
+def make_tower(t: int) -> FieldTower:
+    """Tower with levels for F_3, F_q and F_{q^2} (q = 3^t); every other
+    level is built when first asked for.
 
     t = 1 is rejected: the associated curve is elliptic and everything
     downstream (finite automorphism group, the place classification)
@@ -703,14 +698,9 @@ def make_tower(t: int, extra_degrees: Iterable[int] = (),
     if t < 2:
         raise ValueError("t must be >= 2 (t = 1 gives an elliptic curve with "
                          "infinite automorphism group)")
-    tower = FieldTower(max_degree=max_degree)
-    tower.ensure_level(1)
-    tower.ensure_level(t)
-    tower.ensure_level(2 * t)
-    for d in sorted(set(extra_degrees)):
-        if d < 1:
-            raise ValueError("extension degrees must be positive")
-        tower.ensure_level(2 * t * d)
+    tower = FieldTower()
+    for n in (1, t, 2 * t):
+        tower.level(n)
     return tower
 
 

@@ -35,8 +35,6 @@ from .errors import require
 from .fields import FieldElement, FieldLevel, _p3_canon
 from .polyfamilies import eval_chain
 
-_MAX_PREC = 200  # packed-limb accumulation bound: prec * 4n + 4(n-1) < 2^16
-
 
 class TruncatedSeries:
     """Series c_v T^v + ... + c_{prec-1} T^{prec-1} + O(T^prec), exact
@@ -235,13 +233,9 @@ def expand_coordinates(curve: Curve, lift: HermitianLift, prec: int) -> Generato
     if prec < q + 1:
         raise ValueError(f"prec must be at least q+1 = {q + 1}")
     lvl = lift.level
-    if prec > _MAX_PREC or prec * 4 * lvl.n + 4 * (lvl.n - 1) >= (1 << 16):
+    if prec * 4 * lvl.n + 4 * (lvl.n - 1) >= (1 << 16):
         raise ValueError(f"prec {prec} exceeds the safe accumulation bound")
-    tower = curve.tower
-    place = lift.place
-    a = tower.embed(place.a, lvl.n)
-    b = tower.embed(place.b, lvl.n)
-    beta = tower.embed(place.beta, lvl.n)
+    beta = curve.tower.embed(lift.place.beta, lvl.n)
     B, pb = lift.B, lift.pb
 
     tau = TruncatedSeries.monomial(pb, 1, prec)          # v - B = p(b) T
@@ -251,16 +245,7 @@ def expand_coordinates(curve: Curve, lift: HermitianLift, prec: int) -> Generato
     rhs = (TruncatedSeries.monomial(bq * pb, 1, prec)
            + TruncatedSeries.monomial(B * pbq, q, prec)
            + TruncatedSeries.monomial(pbq * pb, q + 1, prec))
-    # Newton for w = u - A: w <- rhs - w^q; error valuation multiplies by q
-    w = TruncatedSeries.zero(lvl, prec)
-    steps = 0
-    while True:
-        w_next = rhs - w.pow3(t, prec)
-        steps += 1
-        if w_next == w:
-            break
-        w = w_next
-        require(steps <= _newton_budget(prec), "Newton iteration failed to settle")
+    w, steps = _newton(rhs, t)     # w = u - A
     residual = w.pow3(t, prec) + w - rhs
     require(residual.is_zero(), "cover equation not satisfied to precision")
 
@@ -284,12 +269,27 @@ def expand_coordinates(curve: Curve, lift: HermitianLift, prec: int) -> Generato
     return GeneratorBasis(lift, prec, beta, x_a, y_b, f0, steps)
 
 
-def _newton_budget(prec: int) -> int:
-    k, p = 0, 1
+def _newton(rhs: TruncatedSeries, t: int) -> tuple[TruncatedSeries, int]:
+    """The solution w of w^(3^t) + w = rhs, a series of positive valuation,
+    to rhs's precision, and the number of Newton steps taken.
+
+    The derivative is 1, so the step is w <- rhs - w^(3^t) from w = 0, and
+    the error valuation multiplies by 3^t each step: ceil(log_3 prec) + 2
+    steps are always enough."""
+    prec = rhs.prec
+    budget, p = 2, 1
     while p < prec:
         p *= 3
-        k += 1
-    return k + 2
+        budget += 1
+    w = TruncatedSeries.zero(rhs.level, prec)
+    steps = 0
+    while True:
+        w_next = rhs - w.pow3(t, prec)
+        steps += 1
+        if w_next == w:
+            return w, steps
+        w = w_next
+        require(steps <= budget, "Newton iteration failed to settle")
 
 
 # ---------------------------------------------------------------------------
@@ -421,13 +421,12 @@ class TrackedFunction:
 class LocalData:
     """Per-(place, lift) bundle: basis, chains, and witness construction."""
 
-    def __init__(self, curve: Curve, place: Place, which_lift: int = 0,
-                 prec: int | None = None):
+    def __init__(self, curve: Curve, place: Place, which_lift: int = 0):
         if place.is_infinity() or place.beta.is_zero():
             raise ValueError("local expansion needs an affine place with beta != 0")
         self.curve = curve
         self.place = place
-        self.prec = prec if prec is not None else 2 * curve.q + 1
+        self.prec = 2 * curve.q + 1
         self.lift = curve.hermitian_lift(place, which_lift)
         self.basis = expand_coordinates(curve, self.lift, self.prec)
         self._f: list[TruncatedSeries] | None = None
@@ -630,7 +629,7 @@ def expand_x_at_beta_zero(curve: Curve, place: Place, prec: int) -> TruncatedSer
     """(x - a) as a series in Y = y - b at a place with beta = 0.
 
     From the curve equation, (x-a)^q + (x-a) = -p(Y)^2, solved by the
-    same derivative-one Newton iteration; the result has valuation 2.
+    same Newton iteration `_newton`; the result has valuation 2.
     """
     if place.is_infinity() or not place.beta.is_zero():
         raise ValueError("expansion in y - b at beta = 0 places only")
@@ -642,15 +641,6 @@ def expand_x_at_beta_zero(curve: Curve, place: Place, prec: int) -> TruncatedSer
         if e < prec:
             coeffs[e] = lvl.one()
     pY = TruncatedSeries.from_coeffs(lvl, 0, coeffs, prec)
-    rhs = -(pY * pY)
-    x = TruncatedSeries.zero(lvl, prec)
-    steps = 0
-    while True:
-        x_next = (rhs - x.pow3(t).truncate(prec)).truncate(prec)
-        steps += 1
-        if x_next == x:
-            break
-        x = x_next
-        require(steps <= _newton_budget(prec), "Newton iteration failed to settle")
+    x, _ = _newton((-(pY * pY)).truncate(prec), t)
     require(x.val == 2, f"v(x - a) = {x.val}, want 2")
     return x

@@ -65,10 +65,6 @@ def eval_chain(i: int, beta: FieldElement) -> list[FamilyTriple]:
     return triples
 
 
-def eval_recursive(i: int, beta: FieldElement) -> FamilyTriple:
-    return eval_chain(i, beta)[i]
-
-
 def eval_closed(i: int, beta: FieldElement) -> FamilyTriple:
     """Closed eigenvalue formulas; the sqrt branch choice cancels."""
     if i < 0:

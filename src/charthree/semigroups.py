@@ -97,23 +97,3 @@ def is_cofinite_monoid(g) -> bool:
                 return False
     return True
 
-
-def minimal_generators(gaps) -> tuple[int, ...]:
-    """Minimal generating set of the semigroup with the given gap set."""
-    gapset = set(gaps)
-    if not gapset:
-        return (1,)
-    conductor = max(gapset) + 1
-    mingen = next(k for k in range(1, conductor + 1) if k not in gapset)
-    bound = conductor + mingen
-    nongaps = [k for k in range(1, bound + 1) if k not in gapset]
-    sums = set()
-    nong = set(nongaps)
-    for x in nongaps:
-        for y in nongaps:
-            if x + y > bound:
-                break
-            sums.add(x + y)
-    gens = tuple(k for k in nongaps if k <= conductor + mingen - 1 and k not in sums)
-    # generators never exceed conductor + mingen - 1
-    return gens

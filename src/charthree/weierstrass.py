@@ -155,8 +155,7 @@ def semigroup_at(curve: Curve, place: Place) -> SemigroupAssignment:
 # certificates
 
 
-def verify_nongaps(curve: Curve, assignment: SemigroupAssignment,
-                   which_lift: int = 0, prec: int | None = None) -> list[CertEntry]:
+def verify_nongaps(curve: Curve, assignment: SemigroupAssignment) -> list[CertEntry]:
     """A witness per stated generator: a function with exact pole order n
     at the place and no pole surplus at infinity.
 
@@ -186,7 +185,7 @@ def verify_nongaps(curve: Curve, assignment: SemigroupAssignment,
         certs.append(CertEntry(q + 1, "1/F_P (P rational affine)", -(q + 1),
                                "fundamental-eq", True))
     elif cls.kind == BETA_ZERO:
-        x = expand_x_at_beta_zero(curve, place, prec or (2 * q + 1))
+        x = expand_x_at_beta_zero(curve, place, 2 * q + 1)
         require(x.val == 2, f"v(x - a) = {x.val}, want 2")
         add(q - 1, "(x-a)/F", 2, "series", 2 * m, 1)
         add(q, "(y-b)/F", 1, "series", q, 1)
@@ -195,7 +194,7 @@ def verify_nongaps(curve: Curve, assignment: SemigroupAssignment,
         require(x3.val == 6, f"v((x - a)^3) = {x3.val}, want 6")
         add(2 * q - 4, "(x-a)^3/F^2", 6, "series", 6 * m, 2)
     else:
-        local = LocalData(curve, place, which_lift, prec)
+        local = LocalData(curve, place)
         add(q, "(y-b)/F", local.basis.y_b.val, "series", q, 1)
         add(q + 1, "1/F", 0, "fundamental-eq", 0, 1)
         if cls.kind == BETA_ONE:
@@ -222,13 +221,12 @@ def verify_nongaps(curve: Curve, assignment: SemigroupAssignment,
     return certs
 
 
-def verify_gaps(curve: Curve, assignment: SemigroupAssignment,
-                which_lift: int = 0, prec: int | None = None) -> list[CertEntry]:
+def verify_gaps(curve: Curve, assignment: SemigroupAssignment) -> list[CertEntry]:
     """A pole-bounded witness per claimed gap of a non-rational place."""
     place = assignment.place
     if place.degree <= 1:
         raise ValueError("gap witnesses are for non-rational places")
-    local = LocalData(curve, place, which_lift, prec)
+    local = LocalData(curve, place)
     q = curve.q
     certs = []
     for gap in assignment.gap_set.gaps:
@@ -243,6 +241,14 @@ def verify_gaps(curve: Curve, assignment: SemigroupAssignment,
 
 # ---------------------------------------------------------------------------
 # census
+
+
+def class_representatives(places) -> dict[str, Place]:
+    """The first of the given places in each class, keyed by class tag."""
+    first: dict[str, Place] = {}
+    for p in places:
+        first.setdefault(str(p.place_class), p)
+    return first
 
 
 @dataclass

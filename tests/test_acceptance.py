@@ -15,7 +15,8 @@ from charthree.fields import sqrt
 from charthree.localseries import LocalData, build_beta1_chain
 from charthree.polyfamilies import eval_chain
 from charthree.semigroups import is_cofinite_monoid
-from charthree.weierstrass import (full_census, generic_gap_set, semigroup_at,
+from charthree.weierstrass import (class_representatives, full_census,
+                                   generic_gap_set, semigroup_at,
                                    special_gap_set, verify_gaps,
                                    verify_nongaps)
 
@@ -29,32 +30,21 @@ def report(criterion: int, ok: bool, detail: str):
     assert ok, line
 
 
-# -- shared sampled data -------------------------------------------------------
+# -- shared sampled data: three places per realizable non-rational class -------
 
 
 @pytest.fixture(scope="module")
 def sampled9(curve9):
-    return _sample_all(curve9, extra_orders={7: 9})
+    by_class = curve9.sample_classes(3)
+    # gamma order 7 is only realized at relative degree 9
+    place = curve9.sample_nonrational(7, count=1, max_rel_degree=9)[0]
+    by_class[str(place.place_class)] = [place]
+    return by_class
 
 
 @pytest.fixture(scope="module")
 def sampled27(curve27):
-    return _sample_all(curve27)
-
-
-def _sample_all(curve, extra_orders=None):
-    """Three places per realizable non-rational class (plus any classes
-    only reachable at an explicit larger degree)."""
-    by_class = {}
-    for o in curve.feasible_gamma_orders():
-        places = curve.sample_nonrational(o, count=3)
-        if places:
-            by_class[str(places[0].place_class)] = places
-    for o, deg in (extra_orders or {}).items():
-        places = curve.sample_nonrational(o, count=1, max_rel_degree=deg)
-        if places:
-            by_class[str(places[0].place_class)] = places
-    return by_class
+    return curve27.sample_classes(3)
 
 
 # -- criteria -------------------------------------------------------------------
@@ -258,11 +248,8 @@ def test_criterion_6_semigroup_suite(curve9, places9, curve27, places27,
     # every assignment carries exactly genus gaps (all classes, both q)
     for curve, places, sampled in ((curve9, places9, sampled9),
                                    (curve27, places27, sampled27)):
-        reps = {}
-        for p in places:
-            reps.setdefault(str(p.place_class), p)
-        for pls in sampled.values():
-            reps.setdefault(str(pls[0].place_class), pls[0])
+        reps = class_representatives(places)
+        reps.update((tag, pls[0]) for tag, pls in sampled.items())
         for tag, p in reps.items():
             a = semigroup_at(curve, p)
             ok &= a.gap_set.genus == curve.genus
@@ -296,10 +283,7 @@ def test_criterion_7_gap_certificates(curve9, sampled9, curve27, sampled27):
 def test_criterion_8_nongap_certificates(curve9, places9, curve27, places27):
     total = 0
     for curve, places in ((curve9, places9), (curve27, places27)):
-        reps = {}
-        for p in places:
-            reps.setdefault(str(p.place_class), p)
-        for tag, p in sorted(reps.items()):
+        for tag, p in sorted(class_representatives(places).items()):
             a = semigroup_at(curve, p)
             certs = verify_nongaps(curve, a)
             assert all(c.verified for c in certs)

@@ -1,12 +1,14 @@
 import itertools
+import json
 from collections import Counter
 from types import SimpleNamespace
 
 import pytest
 
-from charthree.curve import Curve, _linear_table, _roots_of_unity
+from charthree.cli import main
+from charthree.curve import Curve, _roots_of_unity
 from charthree.factorint import euler_phi
-from charthree.fields import mult_order
+from charthree.fields import _linear_table, mult_order
 
 
 def test_rejects_t1():
@@ -127,7 +129,7 @@ def test_sampled_places_distinct(curve9):
 
 @pytest.mark.parametrize("n", [4, 6])
 def test_roots_of_unity_match_brute_force(tower9, n):
-    lvl = tower9.ensure_level(n)
+    lvl = tower9.level(n)
     group = 3 ** n - 1
     by_order: dict[int, set[int]] = {}
     for z in lvl.iter_elements():
@@ -142,7 +144,7 @@ def test_roots_of_unity_match_brute_force(tower9, n):
 
 def test_roots_of_unity_fail_loudly_when_scan_runs_out(tower9):
     # 5 divides 3^4 - 1, but no constant of F_81 has order 5
-    lvl = tower9.ensure_level(4)
+    lvl = tower9.level(4)
     constants_only = SimpleNamespace(
         order=lvl.order, iter_elements=lambda: itertools.islice(lvl.iter_elements(), 3))
     with pytest.raises(ArithmeticError, match="no element of order 5"):
@@ -174,6 +176,19 @@ def test_feasible_orders_exclude_rational(curve9):
     assert all((curve9.q + 1) % o != 0 for o in orders)
     assert all(o % 3 != 0 for o in orders)
     assert 4 in orders and 8 in orders
+
+
+def test_sample_classes_match_verify_q9(curve9, capsys):
+    one = curve9.sample_classes(1)
+    assert all(len(pls) == 1 for pls in one.values())
+    assert main(["verify", "--t", "2", "--scope", "semigroups"]) == 0
+    rows = json.loads(capsys.readouterr().out)["results"]
+    sampled = next(r for r in rows if r["check"] == "nonrational.sampled")
+    assert sampled["detail"] == f"{len(one)} places, classes {sorted(one)}"
+    # the first place of a class does not depend on the count
+    three = curve9.sample_classes(3)
+    assert list(three) == list(one)
+    assert all(three[tag][0] == one[tag][0] for tag in one)
 
 
 def test_place_census_q27_class_counts(curve27, places27):

@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 import charthree.fields as fields
-from charthree.curve import Curve
 from charthree.errors import CertificateError
 from charthree.factorint import factorize
 from charthree.fields import (MAX_DEGREE, FieldLevel, FieldTower, make_tower, mult_order,
@@ -16,10 +15,11 @@ from charthree.fields import (MAX_DEGREE, FieldLevel, FieldTower, make_tower, mu
 
 
 def test_make_tower_levels():
-    tw = make_tower(2, {3})
-    assert sorted(tw.levels) == [1, 2, 4, 12]
-    tw = make_tower(3, {2, 3})
-    assert sorted(tw.levels) == [1, 3, 6, 12, 18]
+    assert sorted(make_tower(2).levels) == [1, 2, 4]
+    tw = make_tower(3)
+    assert sorted(tw.levels) == [1, 3, 6]
+    tw.level(18)
+    assert sorted(tw.levels) == [1, 3, 6, 18]
 
 
 def test_make_tower_rejects_t1():
@@ -28,16 +28,11 @@ def test_make_tower_rejects_t1():
 
 
 def test_level_cap(curve9):
-    tw = FieldTower(max_degree=10)
-    with pytest.raises(ValueError, match="outside"):
-        tw.ensure_level(12)
-    # one cap for the tower, make_tower and Curve
-    assert FieldTower().max_degree == make_tower(2).max_degree == MAX_DEGREE
-    assert curve9.tower.max_degree == MAX_DEGREE
-    with pytest.raises(ValueError, match="cap"):
-        FieldTower(max_degree=MAX_DEGREE + 1)
-    with pytest.raises(ValueError, match="cap"):
-        Curve(2, max_degree=MAX_DEGREE + 1)
+    # one cap, MAX_DEGREE, for every tower
+    for tw in (FieldTower(), curve9.tower):
+        for n in (0, MAX_DEGREE + 1):
+            with pytest.raises(ValueError, match="outside"):
+                tw.level(n)
 
 
 def _canon_by_limbs(p):

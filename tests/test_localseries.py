@@ -158,8 +158,13 @@ def test_expand_requires_min_precision(curve9, places9):
     lift = curve9.hermitian_lift(place)
     with pytest.raises(ValueError, match="at least"):
         expand_coordinates(curve9, lift, curve9.q)
+    # the limb guard prec * 4n + 4(n - 1) < 2^16 at the lift level is the
+    # only upper bound: its last prec expands, the next one is refused
+    n = lift.level.n
+    first_bad = -(-((1 << 16) - 4 * (n - 1)) // (4 * n))
+    assert expand_coordinates(curve9, lift, first_bad - 1).prec == first_bad - 1
     with pytest.raises(ValueError, match="bound"):
-        expand_coordinates(curve9, lift, 500)
+        expand_coordinates(curve9, lift, first_bad)
 
 
 def test_f_chain_leading_pairs_and_paper_coeffs(curve9, places9):

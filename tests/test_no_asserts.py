@@ -1,5 +1,5 @@
 """The certification path must survive `python -O`, which strips `assert`
-statements: the modules on it hold none."""
+statements: no module of the package holds one."""
 
 import ast
 from pathlib import Path
@@ -9,9 +9,7 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "charthree"
 
 
-@pytest.mark.parametrize("module", ["automorphisms.py", "curve.py", "fields.py",
-                                    "localseries.py", "polyfamilies.py",
-                                    "semigroups.py", "weierstrass.py"])
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
 def test_module_has_no_assert(module):
     tree = ast.parse((SRC / module).read_text(), filename=module)
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]

@@ -43,7 +43,7 @@ def test_rejects_bad_beta(tower9):
     lvl = tower9.level(4)
     for bad in (lvl.zero(), lvl.one()):
         with pytest.raises(ValueError):
-            pf.eval_recursive(3, bad)
+            pf.eval_chain(3, bad)
 
 
 def test_closed_equals_recursive(tower9):

@@ -3,8 +3,7 @@ import random
 
 import pytest
 
-from charthree.semigroups import (GapSet, NumericalSemigroup,
-                                  is_cofinite_monoid, minimal_generators)
+from charthree.semigroups import GapSet, NumericalSemigroup, is_cofinite_monoid
 
 
 def closure_gaps(gens, bound):
@@ -117,12 +116,3 @@ def test_family_genus_at_both_field_sizes():
         ]
         for gens in fams:
             assert NumericalSemigroup.from_generators(gens).genus == genus
-
-
-def test_minimal_generators_roundtrip():
-    for gens in ({6, 9, 10}, {8, 9, 10, 14}, {8, 9, 10, 15, 22}):
-        sg = NumericalSemigroup.from_generators(gens)
-        mingens = minimal_generators(sg.gaps)
-        back = NumericalSemigroup.from_generators(mingens)
-        assert back.gaps == sg.gaps
-        assert set(mingens) <= set(gens)

@@ -3,10 +3,10 @@ import pytest
 from charthree.curve import Curve
 from charthree.errors import CertificateError
 from charthree.semigroups import is_cofinite_monoid
-from charthree.weierstrass import (full_census, generic_gap_set,
-                                   interval_gap_set, semigroup_at,
-                                   special_gap_set, verify_gaps,
-                                   verify_nongaps)
+from charthree.weierstrass import (class_representatives, full_census,
+                                   generic_gap_set, interval_gap_set,
+                                   semigroup_at, special_gap_set,
+                                   verify_gaps, verify_nongaps)
 
 
 def rep(places, kind, i=None):
@@ -145,11 +145,8 @@ def test_low_order_generator_witness_q27(curve27, places27):
 def test_distinct_gap_sets_across_tags_q27(curve27, places27):
     """All theorem buckets yield pairwise distinct gap sets, except the
     provable coincidence of beta-one with the high rational P-orders."""
-    reps = {}
-    for p in places27:
-        reps.setdefault(str(p.place_class), p)
     gap_sets = {tag: semigroup_at(curve27, p).gap_set.gaps
-                for tag, p in reps.items()}
+                for tag, p in class_representatives(places27).items()}
     merged = {
         "infinity": gap_sets["infinity"],
         "beta_zero": gap_sets["beta_zero"],
@@ -167,6 +164,14 @@ def test_distinct_gap_sets_across_tags_q27(curve27, places27):
     for a in range(len(tags)):
         for b in range(a + 1, len(tags)):
             assert merged[tags[a]] != merged[tags[b]], (tags[a], tags[b])
+
+
+def test_class_representatives_q9(places9):
+    reps = class_representatives(places9)
+    assert sorted(reps) == ["beta_one", "beta_zero", "infinity",
+                            "rational_general(i=4)", "rational_general(i=9)"]
+    for tag, p in reps.items():
+        assert p is next(x for x in places9 if str(x.place_class) == tag)
 
 
 def test_full_census_q9(curve9):
