@@ -47,8 +47,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_places = sub.add_parser("places", help="enumerate/classify places")
     p_places.add_argument("--class", dest="klass", default=None,
                           choices=("infinity", "beta-zero", "beta-one",
-                                   "rational-general", "nonrational"),
-                          help="restrict to one classification")
+                                   "rational-general"),
+                          help="restrict to one rational classification")
     p_places.add_argument("--beta-order", type=int, default=None,
                           help="sample non-rational places with this gamma order")
     p_places.add_argument("--max-degree", type=int, default=4,
@@ -166,18 +166,14 @@ class SystemExit2(Exception):
 
 def cmd_places(args) -> int:
     curve = _make_curve(args)
-    rows = []
     if args.beta_order is not None:
         places = curve.sample_nonrational(args.beta_order, count=3,
                                           max_rel_degree=args.max_degree)
-        rows = [_place_row(p) for p in places]
     else:
         want = None if args.klass is None else args.klass.replace("-", "_")
-        for p in curve.enumerate_rational():
-            kind = p.place_class.kind
-            if want is None or kind == want or \
-                    (want == "nonrational" and kind.startswith("nonrational")):
-                rows.append(_place_row(p))
+        places = [p for p in curve.enumerate_rational()
+                  if want is None or p.place_class.kind == want]
+    rows = [_place_row(p) for p in places]
     levels = {2 * curve.t} | {r["level"] for r in rows if "level" in r}
     _emit(_document(curve, "places", rows,
                     {"field": _field_header(curve, levels)}),
@@ -331,7 +327,7 @@ def cmd_aut(args) -> int:
 
 def cmd_verify(args) -> int:
     curve = _make_curve(args)
-    q, m = curve.q, curve.m
+    q = curve.q
     rows: list[dict] = []
     scope = args.scope
     if scope in ("polyfam", "all"):
@@ -369,21 +365,11 @@ def cmd_verify(args) -> int:
         samples = [pls[0] for pls in (by_class or {}).values()]
 
     if scope in ("valuations", "all"):
-        def chain(p):
-            """The whole chain of p's class: h at beta = 1, f at the other
-            rational places, g at a sampled place.  Never empty."""
-            local = localseries.LocalData(curve, p)
-            cls = p.place_class
-            if cls.kind == "beta_one":
-                return localseries.build_beta1_chain(curve, local.basis, m - 1)
-            if cls.K is None:
-                return local.f_chain(min(cls.i, m - 1))
-            return local.g_chain(min(cls.K, m - 2))
-
         rational = [p for _, p in sorted(reps.items())
                     if not (p.is_infinity() or p.beta.is_zero())]
         for p in rational + samples:
-            _guard(rows, f"valuations[{p.place_class}]", chain, p)
+            _guard(rows, f"valuations[{p.place_class}]",
+                   lambda p: localseries.LocalData(curve, p).chain, p)
 
     if scope in ("semigroups", "all"):
         def verified(certs):
@@ -392,10 +378,6 @@ def cmd_verify(args) -> int:
         def certificates(certs):
             return [{"value": c.value, "witness": c.witness, "v_at_P": c.v_at_P,
                      "method": c.method, "ok": c.verified} for c in certs]
-
-        def gap_certificates(p):
-            assignment = semigroup_at(curve, p)
-            return assignment.theorem_tag, verify_gaps(curve, assignment)
 
         for tag, p in sorted(reps.items()):
             assignment = _guard(rows, f"semigroup.genus[{tag}]", semigroup_at, curve, p,
@@ -408,13 +390,12 @@ def cmd_verify(args) -> int:
             if certs is not None:
                 rows[-1]["certificates"] = certificates(certs)
         for p in samples:
-            found = _guard(rows, f"gap_certificates[{p.place_class}]", gap_certificates,
-                           p, ok=lambda f: verified(f[1]),
-                           detail=lambda f: f"{len(f[1])} gaps witnessed")
-            if found is not None:
-                # a certified row is named by the theorem that gave the gap set
-                rows[-1].update(check=f"gap_certificates[{found[0]}]",
-                                certificates=certificates(found[1]))
+            certs = _guard(rows, f"gap_certificates[{p.place_class}]",
+                           lambda p: verify_gaps(curve, semigroup_at(curve, p)), p,
+                           ok=verified,
+                           detail=lambda found: f"{len(found)} gaps witnessed")
+            if certs is not None:
+                rows[-1]["certificates"] = certificates(certs)
 
     if scope in ("autgroup", "all"):
         _group_census(curve, places, rows)

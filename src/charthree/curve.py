@@ -52,15 +52,14 @@ class PlaceClass:
 
 @dataclass(frozen=True)
 class Place:
-    kind: str                      # "affine" or "infinity"
-    a: FieldElement | None
-    b: FieldElement | None
-    beta: FieldElement | None      # None marks the pole of beta at infinity
+    a: FieldElement | None         # a, b and beta are None at infinity,
+    b: FieldElement | None         # where beta has its pole
+    beta: FieldElement | None
     degree: int
     place_class: PlaceClass
 
     def is_infinity(self) -> bool:
-        return self.kind == "infinity"
+        return self.a is None
 
     def __repr__(self):
         if self.is_infinity():
@@ -98,8 +97,7 @@ class Curve:
         self.base = self.tower.level(2 * t)     # F_{q^2}
         self._beta_class_cache: dict[tuple[int, int], PlaceClass] = {}
         self._solver_cache: dict[tuple[str, int], LinearSolver] = {}
-        self._infinity = Place("infinity", None, None, None, 1,
-                               PlaceClass(INFINITY))
+        self._infinity = Place(None, None, None, 1, PlaceClass(INFINITY))
 
     # -- basic maps -----------------------------------------------------------
 
@@ -116,13 +114,6 @@ class Curve:
     def on_curve(self, a: FieldElement, b: FieldElement) -> bool:
         pb = self.p_map(b)
         return (self.frob_q(a) + a + pb * pb).is_zero()
-
-    def beta_of(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        pb = self.p_map(b)
-        beta = pb * pb
-        if not beta == -(self.frob_q(a) + a):
-            raise CertificateError(f"({a}, {b}) is not on the curve: p(b)^2 != -(a^q + a)")
-        return beta
 
     # -- linear solvers over the tower ----------------------------------------
 
@@ -183,31 +174,22 @@ class Curve:
         if a.level is not b.level:
             n = max(a.level.n, b.level.n)
             a, b = self.tower.embed(a, n), self.tower.embed(b, n)
-        if not self.on_curve(a, b):
-            raise ValueError("coordinates do not satisfy the curve equation")
-        a, b = self._canonical_rep(a, b)
-        beta = self.beta_of(a, b)
-        degree = self._orbit_length(a, b)
-        cls = self.classify_beta(beta, degree)
-        return Place("affine", a, b, beta, degree, cls)
-
-    def _orbit_length(self, a: FieldElement, b: FieldElement) -> int:
-        x, y, d = self.frob_q2(a), self.frob_q2(b), 1
-        while (x, y) != (a, b):
-            x, y, d = self.frob_q2(x), self.frob_q2(y), d + 1
-            require(d <= a.level.n, "Frobenius orbit longer than the level degree")
-        return d
-
-    def _canonical_rep(self, a, b):
-        """Smallest Frobenius-orbit representative, so conjugate coordinate
-        pairs construct equal Place objects (they are one place)."""
-        best = (a, b)
+        # one walk of the q^2-Frobenius orbit gives the degree and the
+        # smallest representative, so conjugate coordinate pairs construct
+        # equal Place objects (they are one place)
+        best, degree = (a, b), 1
         x, y = self.frob_q2(a), self.frob_q2(b)
         while (x, y) != (a, b):
             if (y.coeffs, x.coeffs) < (best[1].coeffs, best[0].coeffs):
                 best = (x, y)
-            x, y = self.frob_q2(x), self.frob_q2(y)
-        return best
+            x, y, degree = self.frob_q2(x), self.frob_q2(y), degree + 1
+            require(degree <= a.level.n, "Frobenius orbit longer than the level degree")
+        a, b = best
+        pb = self.p_map(b)
+        beta = pb * pb
+        if not (self.frob_q(a) + a + beta).is_zero():
+            raise ValueError("coordinates do not satisfy the curve equation")
+        return Place(a, b, beta, degree, self.classify_beta(beta, degree))
 
     def classify_beta(self, beta: FieldElement, degree: int) -> PlaceClass:
         key = (id(beta.level), beta.pk)
@@ -265,7 +247,7 @@ class Curve:
                 cls = self.classify_beta(beta, 1) if a_values else None
                 entry = by_pb[pb] = (beta, a_values, cls)
             beta, a_values, cls = entry
-            places.extend(Place("affine", a, b, beta, 1, cls) for a in a_values)
+            places.extend(Place(a, b, beta, 1, cls) for a in a_values)
         return places
 
     # -- Hermitian lift --------------------------------------------------------

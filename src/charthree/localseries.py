@@ -28,9 +28,10 @@ per exponent, and each non-zero sum is reduced once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
-from .curve import Curve, HermitianLift, Place
+from .curve import BETA_ONE, NONRATIONAL_SPECIAL, Curve, HermitianLift, Place
 from .errors import require
 from .fields import FieldElement, FieldLevel, _p3_canon
 from .polyfamilies import eval_chain
@@ -378,21 +379,16 @@ def g_pole_bound(curve: Curve, ell: int) -> int:
     return (3 * ell + 4) * curve.m
 
 
-def build_beta1_chain(curve: Curve, basis: GeneratorBasis,
-                      up_to: int) -> list[TruncatedSeries]:
-    """h_0..h_up_to at a beta = 1 place: h_j = T^(3j+2) + T^(3j+3) + O(T^q),
+def build_beta1_chain(curve: Curve, basis: GeneratorBasis) -> list[TruncatedSeries]:
+    """h_0..h_{m-1} at a beta = 1 place: h_j = T^(3j+2) + T^(3j+3) + O(T^q),
     pole bound (j+1) q."""
     if basis.beta != 1:
         raise ValueError("beta-1 chain requires beta = 1")
-    if up_to > curve.m - 1:
-        raise ValueError(f"beta-1 chain index {up_to} exceeds m-1 = {curve.m - 1}")
     x_a, y_b = basis.x_a, basis.y_b
-    h = [x_a - y_b]
-    if up_to >= 1:
-        s = x_a + y_b
-        h.append(-x_a + y_b + s * s)
+    s = x_a + y_b
+    h = [x_a - y_b, -x_a + y_b + s * s]    # m >= 3, as t >= 2
     mult = y_b * y_b - x_a * x_a
-    for j in range(2, up_to + 1):
+    for j in range(2, curve.m):
         h.append(mult * h[j - 2] - h[j - 1])
     one = basis.x_a.level.one()
     for j, hj in enumerate(h):
@@ -419,7 +415,10 @@ class TrackedFunction:
 
 
 class LocalData:
-    """Per-(place, lift) bundle: basis, chains, and witness construction."""
+    """Per-(place, lift) bundle: basis, chains, and witness construction.
+
+    The chains f (to min(i, m-1)), g (to min(K, m-2)) and h (to m-1, at
+    beta = 1) are each built whole, once, on first use."""
 
     def __init__(self, curve: Curve, place: Place, which_lift: int = 0):
         if place.is_infinity() or place.beta.is_zero():
@@ -429,8 +428,6 @@ class LocalData:
         self.prec = 2 * curve.q + 1
         self.lift = curve.hermitian_lift(place, which_lift)
         self.basis = expand_coordinates(curve, self.lift, self.prec)
-        self._f: list[TruncatedSeries] | None = None
-        self._g: list[TruncatedSeries] | None = None
         # product of each witness factor prefix, keyed by the ids of its series
         self._products: dict[tuple[int, ...], TruncatedSeries] = {}
         self._fp_val = curve.q + 1 if place.degree == 1 else curve.q
@@ -439,26 +436,25 @@ class LocalData:
     def cls(self):
         return self.place.place_class
 
-    def f_chain(self, up_to: int) -> list[TruncatedSeries]:
-        """f_0..f_up_to.  The first call builds the chain once at its full
-        length min(i, m-1); every call slices that one chain."""
-        if self._f is None:
-            self._f = build_f_chain(self.curve, self.basis)
-        if up_to >= len(self._f):
-            raise ValueError(f"f chain index {up_to} exceeds min(P-order, m-1) = "
-                             f"{len(self._f) - 1}")
-        return self._f[:up_to + 1]
+    @cached_property
+    def f(self) -> list[TruncatedSeries]:
+        return build_f_chain(self.curve, self.basis)
 
-    def g_chain(self, up_to: int) -> list[TruncatedSeries]:
-        """g_0..g_up_to.  The first call builds the chain once at its full
-        length min(K, m-2); every call slices that one chain."""
-        if self._g is None:
-            self.f_chain(0)   # builds the whole f chain
-            self._g = build_g_chain(self.curve, self.basis, self._f)
-        if up_to >= len(self._g):
-            raise ValueError(f"g chain index {up_to} exceeds min(R-order, m-2) = "
-                             f"{len(self._g) - 1}")
-        return self._g[:up_to + 1]
+    @cached_property
+    def g(self) -> list[TruncatedSeries]:
+        return build_g_chain(self.curve, self.basis, self.f)
+
+    @cached_property
+    def h(self) -> list[TruncatedSeries]:
+        return build_beta1_chain(self.curve, self.basis)
+
+    @property
+    def chain(self) -> list[TruncatedSeries]:
+        """The chain of the place's class: h at beta = 1, f at the other
+        rational places, g at a non-rational place.  Never empty."""
+        if self.cls.kind == BETA_ONE:
+            return self.h
+        return self.f if self.cls.K is None else self.g
 
     # -- witness assembly -----------------------------------------------------
 
@@ -504,18 +500,18 @@ class LocalData:
         elif k == 3:
             w = self._assemble(j, [(self.basis.f0, q)], f"F^{j} f0")
         else:
-            ell = k // 3
+            ell, g = k // 3, self.g
+            if (k - 4) // 3 >= len(g):
+                raise ValueError(f"(j,k)=({j},{k}) needs g_{(k - 4) // 3}, beyond "
+                                 f"min(R-order, m-2) = {len(g) - 1}")
             if k % 3 == 0:
-                g = self.g_chain(ell - 2)
                 w = self._assemble(j, [(g[ell - 2], g_pole_bound(curve, ell - 2)),
                                        (self.basis.f0, q)],
                                    f"F^{j} g_{ell - 2} f0")
             elif k % 3 == 1:
-                g = self.g_chain(ell - 1)
                 w = self._assemble(j, [(g[ell - 1], g_pole_bound(curve, ell - 1))],
                                    f"F^{j} g_{ell - 1}")
             else:
-                g = self.g_chain(ell - 1)
                 w = self._assemble(j, [(g[ell - 1], g_pole_bound(curve, ell - 1)),
                                        (self.basis.x_a, 2 * m)],
                                    f"F^{j} g_{ell - 1} x_a")
@@ -554,8 +550,7 @@ class LocalData:
             factors = [(self.basis.f0, q), (self.basis.x_a, 2 * m)]
             label = f"F^{j} f0 x_a"
             if K >= 1:
-                g = self.g_chain(K - 1)
-                factors.insert(0, (g[K - 1], g_pole_bound(curve, K - 1)))
+                factors.insert(0, (self.g[K - 1], g_pole_bound(curve, K - 1)))
                 label = f"F^{j} g_{K - 1} f0 x_a"
             w = self._assemble(j, factors, label)
             self._check_witness(w, j * q + k)
@@ -569,7 +564,7 @@ class LocalData:
         r = rem - 3 * d
         if s == 0 and r == 0 and 3 * j + k == q - 2:
             raise ValueError(f"(j,k)=({j},{k}) is a removed gap index")
-        fs = self.f_chain(min(i, m - 1))
+        fs = self.f
         hat: list[tuple[TruncatedSeries, int]] = []
         label_parts = []
 
@@ -601,14 +596,13 @@ class LocalData:
                 fi_times(c)
                 hat.append((self.basis.x_a, 2 * m))
                 label_parts.append("x_a")
-        g = self.g_chain(K)
-        factors = [(g[K], g_pole_bound(curve, K))] + hat
+        factors = [(self.g[K], g_pole_bound(curve, K))] + hat
         w = self._assemble(j, factors, f"F^{j} g_{K} " + " ".join(label_parts))
         self._check_witness(w, j * q + k)
         return w
 
     def gap_witness(self, j: int, k: int) -> TrackedFunction:
-        if self.cls.kind == "nonrational_special":
+        if self.cls.kind == NONRATIONAL_SPECIAL:
             return self.gap_witness_special(j, k)
         return self.gap_witness_generic(j, k)
 

@@ -76,24 +76,18 @@ class GapSet:
 def is_cofinite_monoid(g) -> bool:
     """True iff the complement of the gap set is an additive monoid.
 
-    Checks that 0 is not a gap and that sums of non-gaps are non-gaps,
-    exhaustively up to max(gaps) + the smallest positive non-gap.
+    Checks that 0 is not a gap and that no sum of two positive non-gaps
+    is a gap, on int bitsets: a non-gap x fails when the non-gaps below
+    max(gaps), shifted up by x, meet the gaps.  Sums above max(gaps) are
+    never gaps.
     """
     gaps = set(g.gaps if isinstance(g, GapSet) else g)
     if not gaps:
         return True
-    if 0 in gaps or any(x < 0 for x in gaps):
+    if 0 in gaps or min(gaps) < 0:
         return False
     top = max(gaps)
-    mingen = next(k for k in range(1, top + 2) if k not in gaps)
-    bound = top + mingen
-    nongaps = [k for k in range(1, bound + 1) if k not in gaps]
-    for x in nongaps:
-        for y in nongaps:
-            s = x + y
-            if s > bound:
-                break
-            if s in gaps:
-                return False
-    return True
-
+    gapmask = sum(1 << x for x in gaps)
+    nongaps = ~gapmask & ((1 << top) - 2)    # the non-gaps in [1, top)
+    return not any((nongaps << x) & gapmask
+                   for x in range(1, top) if not gapmask >> x & 1)

@@ -197,23 +197,11 @@ def verify_nongaps(curve: Curve, assignment: SemigroupAssignment) -> list[CertEn
         local = LocalData(curve, place)
         add(q, "(y-b)/F", local.basis.y_b.val, "series", q, 1)
         add(q + 1, "1/F", 0, "fundamental-eq", 0, 1)
-        if cls.kind == BETA_ONE:
-            from .localseries import build_beta1_chain
-            h = build_beta1_chain(curve, local.basis, m - 1)
-            for j, hj in enumerate(h):
-                add((q - 1) + j * (q - 2), f"h_{j}/F^{j + 1}", hj.val,
-                    "series", (j + 1) * q, j + 1)
-        else:
-            i = cls.i
-            top = min(i, m - 1)
-            f = local.f_chain(top)
-            ladder = i if i < m - 1 else m
-            for j in range(ladder):
-                add((q - 1) + j * (q - 2), f"f_{j}/F^{j + 1}", f[j].val,
-                    "series", (j + 1) * q, j + 1)
-            if i < m - 1:
-                add((i + 1) * (q - 2), f"f_{i}/F^{i + 1}", f[i].val,
-                    "series", (i + 1) * q, i + 1)
+        name = "h" if cls.kind == BETA_ONE else "f"
+        # the ladder (q-1) + j(q-2), then f_i for (i+1)(q-2) when i < m-1
+        for j, cj in enumerate(local.chain):
+            value = (j + 1) * (q - 2) if j == cls.i < m - 1 else (q - 1) + j * (q - 2)
+            add(value, f"{name}_{j}/F^{j + 1}", cj.val, "series", (j + 1) * q, j + 1)
     by_value = {c.value for c in certs}
     for g in sg.generators:
         require(g in by_value, f"generator {g} lacks a certificate")

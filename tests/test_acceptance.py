@@ -12,7 +12,7 @@ from charthree import polyfamilies as pf
 from charthree.curve import Curve
 from charthree.factorint import euler_phi
 from charthree.fields import sqrt
-from charthree.localseries import LocalData, build_beta1_chain
+from charthree.localseries import LocalData
 from charthree.polyfamilies import eval_chain
 from charthree.semigroups import is_cofinite_monoid
 from charthree.weierstrass import (class_representatives, full_census,
@@ -166,13 +166,11 @@ def _valuation_sweep(curve, places9_or_27, sampled):
                 local = LocalData(curve, place, which_lift=which)
                 cls = place.place_class
                 if cls.kind == "beta_one":
-                    h = build_beta1_chain(curve, local.basis, m - 1)
-                    assert [x.val for x in h] == [3 * j + 2 for j in range(m)]
+                    assert [x.val for x in local.h] == [3 * j + 2 for j in range(m)]
                 else:
                     i, K = cls.i, cls.K
-                    f = local.f_chain(min(i, m - 1))
                     fam = eval_chain(min(i, m - 1) + 1, local.basis.beta)
-                    for j, fj in enumerate(f):
+                    for j, fj in enumerate(local.f):
                         want = 3 * j + 3 if j == i else 3 * j + 2
                         assert fj.val == want
                         # leading pair (P_{j+1}, Q_{j+1}); P_{i+1} = 0 at j = i
@@ -182,8 +180,7 @@ def _valuation_sweep(curve, places9_or_27, sampled):
                                 and fj.coefficient(3 * j + 3) != fam[j + 1].q_val:
                             leading_ok = False
                     if K is not None:
-                        g = local.g_chain(min(K, m - 2))
-                        for ell, gl in enumerate(g):
+                        for ell, gl in enumerate(local.g):
                             want = 3 * ell + 4 if ell == K else 3 * ell + 3
                             assert gl.val == want
                             if gl.coefficient(3 * ell + 3) != fam[ell + 1].r_val:

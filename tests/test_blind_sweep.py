@@ -25,13 +25,10 @@ from charthree.weierstrass import semigroup_at, verify_gaps, verify_nongaps
 
 def reachable_valuations(curve, place):
     local = LocalData(curve, place)
-    cls = place.place_class
     q, m = curve.q, curve.m
     basis = [(1, 2 * m), (q, q + 1)]          # x_a and F_P (v_P = q here)
-    f = local.f_chain(min(cls.i, m - 1))
-    basis += [(fj.val, f_pole_bound(curve, j)) for j, fj in enumerate(f)]
-    g = local.g_chain(min(cls.K, m - 2))
-    basis += [(gl.val, g_pole_bound(curve, ell)) for ell, gl in enumerate(g)]
+    basis += [(fj.val, f_pole_bound(curve, j)) for j, fj in enumerate(local.f)]
+    basis += [(gl.val, g_pole_bound(curve, ell)) for ell, gl in enumerate(local.g)]
     budget = (m - 1) * (q + 2)
     # knapsack closure over (valuation, pole bound) pairs
     reachable = [[False] * (budget + 1) for _ in range(budget + 2)]

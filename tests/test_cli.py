@@ -32,6 +32,14 @@ def test_places_class_filter(capsys):
     assert all(r["class"] == "beta_zero" for r in doc["results"])
 
 
+def test_places_class_rejects_nonrational(capsys):
+    # places enumerates the rational places only, so there is no such filter
+    with pytest.raises(SystemExit) as exc:
+        main(["places", "--t", "2", "--class", "nonrational"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def test_places_rejects_t1(capsys):
     code = main(["places", "--t", "1"])
     err = capsys.readouterr().err
@@ -165,6 +173,18 @@ def test_verify_all_q27(capsys):
     classes = {r["check"] for r in doc["results"]
                if r["check"].startswith("valuations[nonrational")}
     assert len(classes) == 4
+    checks = [r["check"] for r in doc["results"]]
+    assert len(set(checks)) == len(checks)
+    assert "gap_certificates[nonrational_generic(i=25,K=16)]" in checks
+
+
+def test_verify_row_names_unique_q9(capsys):
+    code, out = run_cli(capsys, "verify", "--t", "2", "--scope", "all")
+    assert code == 0
+    checks = [r["check"] for r in json.loads(out)["results"]]
+    assert len(set(checks)) == len(checks)
+    # a gap row is named by the full class of its place
+    assert "gap_certificates[nonrational_generic(i=7,K=4)]" in checks
 
 
 def test_verify_all_q81(capsys):
@@ -172,6 +192,10 @@ def test_verify_all_q81(capsys):
     assert code == 0
     rows = json.loads(out)["results"]
     assert len(rows) == 46 and all(r["ok"] for r in rows)
+    checks = [r["check"] for r in rows]
+    assert len(set(checks)) == len(checks)
+    assert {"gap_certificates[nonrational_generic(i=55,K=36)]",
+            "gap_certificates[nonrational_generic(i=79,K=52)]"} <= set(checks)
     census = next(r for r in rows if r["check"] == "census.count")
     assert census["detail"].startswith("181522 places")
 

@@ -237,3 +237,23 @@ def test_linear_table_matches_the_maps(request, curve_name):
     for f in (lambda x: curve.frob_q(x) + x, curve.p_map):
         table = _linear_table([f(x).pk for x in basis])
         assert table == [f(x).pk for x in elements]
+
+
+@pytest.mark.parametrize("t", [2, 3])
+def test_orbit_walk_matches_brute_force(t, curve9, curve27):
+    # place_from_coords walks each q^2-Frobenius orbit once: from every
+    # member it must find the orbit length and the member with the
+    # lexicographically smallest (b, a) coefficients
+    curve = {2: curve9, 3: curve27}[t]
+    for places in curve.sample_classes(3).values():
+        for p in places:
+            orbit = [(p.a, p.b)]
+            while True:
+                x, y = (curve.frob_q2(c) for c in orbit[-1])
+                if (x, y) == orbit[0]:
+                    break
+                orbit.append((x, y))
+            a, b = min(orbit, key=lambda ab: (ab[1].coeffs, ab[0].coeffs))
+            assert len(orbit) == p.degree > 1
+            assert (p.a, p.b) == (a, b)
+            assert all(curve.place_from_coords(x, y) == p for x, y in orbit)

@@ -8,7 +8,8 @@ from charthree.localseries import (LocalData, TruncatedSeries,
                                    build_beta1_chain, expand_coordinates,
                                    expand_x_at_beta_zero)
 from charthree.polyfamilies import eval_chain
-from charthree.weierstrass import CertEntry, semigroup_at, verify_gaps
+from charthree.weierstrass import (CertEntry, class_representatives, semigroup_at,
+                                   verify_gaps)
 
 
 def series_from_ints(lvl, val, ints, prec):
@@ -172,7 +173,7 @@ def test_f_chain_leading_pairs_and_paper_coeffs(curve9, places9):
                  if p.place_class.kind == "rational_general"
                  and p.place_class.i == 4)
     local = LocalData(curve9, place)
-    f = local.f_chain(2)
+    f = local.f
     beta = local.basis.beta
     fam = eval_chain(3, beta)
     q = curve9.q
@@ -192,24 +193,31 @@ def test_f_chain_final_valuation_jump(curve27):
                  if p.place_class.kind == "rational_general"
                  and p.place_class.i == 3)
     local = LocalData(curve27, place)
-    f = local.f_chain(3)
-    assert [fj.val for fj in f] == [2, 5, 8, 12]
+    assert [fj.val for fj in local.f] == [2, 5, 8, 12]
 
 
-def test_f_chain_index_cap(curve9, places9):
-    place = next(p for p in places9
-                 if p.place_class.kind == "rational_general"
-                 and p.place_class.i == 4)
-    local = LocalData(curve9, place)
-    with pytest.raises(ValueError, match="exceeds"):
-        local.f_chain(3)   # min(i, m-1) = 2 at q = 9
+def test_chain_lengths(curve9, places9):
+    # f runs to min(i, m-1), g to min(K, m-2) and h to m-1
+    m = curve9.m
+    rational = next(p for p in places9
+                    if p.place_class.kind == "rational_general"
+                    and p.place_class.i == 4)
+    assert len(LocalData(curve9, rational).f) == min(4, m - 1) + 1
+    for order in (4, 8):     # (i, K) = (3, 0) special and (7, 4) generic
+        place = curve9.sample_nonrational(order, count=1)[0]
+        local = LocalData(curve9, place)
+        i, K = place.place_class.i, place.place_class.K
+        assert len(local.f) == min(i, m - 1) + 1
+        assert len(local.g) == min(K, m - 2) + 1
+    beta_one = next(p for p in places9 if p.place_class.kind == "beta_one")
+    assert len(LocalData(curve9, beta_one).h) == m
 
 
 def test_g_chain_special_and_generic(curve9):
     # special (3,0): v(g_0) = 4 (the R-zero sits at index 1)
     sp = curve9.sample_nonrational(4, count=1)[0]
     local = LocalData(curve9, sp)
-    g = local.g_chain(0)
+    g = local.g
     assert g[0].val == 4
     beta = local.basis.beta
     fam = eval_chain(1, beta)
@@ -217,7 +225,7 @@ def test_g_chain_special_and_generic(curve9):
     # generic (7,4): v(g_0, g_1) = 3, 6 and leading pairs (R, P)
     gen = curve9.sample_nonrational(8, count=1)[0]
     local2 = LocalData(curve9, gen)
-    g2 = local2.g_chain(curve9.m - 2)
+    g2 = local2.g
     fam2 = eval_chain(curve9.m - 1, local2.basis.beta)
     for ell, gl in enumerate(g2):
         assert gl.val == 3 * ell + 3
@@ -228,7 +236,7 @@ def test_g_chain_special_and_generic(curve9):
 def test_beta1_chain(curve9, places9):
     place = next(p for p in places9 if p.place_class.kind == "beta_one")
     local = LocalData(curve9, place)
-    h = build_beta1_chain(curve9, local.basis, curve9.m - 1)
+    h = build_beta1_chain(curve9, local.basis)
     one = local.basis.x_a.level.one()
     assert [hj.val for hj in h] == [2, 5, 8]
     assert h[0].coefficient(2) == one and h[0].coefficient(3) == one
@@ -236,7 +244,7 @@ def test_beta1_chain(curve9, places9):
     with pytest.raises(ValueError, match="beta = 1"):
         bad = next(p for p in places9
                    if p.place_class.kind == "rational_general")
-        build_beta1_chain(curve9, LocalData(curve9, bad).basis, 1)
+        build_beta1_chain(curve9, LocalData(curve9, bad).basis)
 
 
 def test_valuations_independent_of_lift_choice(curve9):
@@ -244,9 +252,7 @@ def test_valuations_independent_of_lift_choice(curve9):
     records = []
     for which in range(3):
         local = LocalData(curve9, sp, which_lift=which)
-        f = local.f_chain(min(sp.place_class.i, curve9.m - 1))
-        g = local.g_chain(sp.place_class.K)
-        records.append(([x.val for x in f], [x.val for x in g]))
+        records.append(([x.val for x in local.f], [x.val for x in local.g]))
     assert records[0] == records[1] == records[2]
 
 
@@ -259,6 +265,8 @@ def test_gap_witness_index_validation(curve9):
         local.gap_witness(0, 26)
     w = local.gap_witness(1, 5)    # the added gap 14
     assert w.v_at_P == 13 and w.fp_exponent == 1
+    with pytest.raises(ValueError, match="beyond"):
+        local.gap_witness_generic(0, 7)    # would need g_1, but K = 0
 
 
 def test_gap_witness_examples_from_theorem(curve9):
@@ -328,3 +336,32 @@ def test_verify_gaps_builds_each_chain_once(gap_places, monkeypatch):
         builds.update(f=0, g=0)
         verify_gaps(curve, semigroup_at(curve, place))   # one LocalData
         assert builds == {"f": 1, "g": 1}, place.place_class
+
+
+def test_chain_picks_the_class_chain_once(curve9, places9, monkeypatch):
+    # every class that verify's valuations rows cover at q = 9: h at
+    # beta = 1, f at the other rational places, g at a non-rational place
+    builds = []
+    for name in ("build_f_chain", "build_g_chain", "build_beta1_chain"):
+        def counting(*args, _build=getattr(localseries, name), _name=name):
+            builds.append(_name)
+            return _build(*args)
+        monkeypatch.setattr(localseries, name, counting)
+    reps = class_representatives(places9)
+    places = [reps[tag] for tag in sorted(reps)
+              if tag not in ("infinity", "beta_zero")]
+    places += [pls[0] for pls in curve9.sample_classes(1).values()]
+    picked = {}
+    for place in places:
+        builds.clear()
+        local = LocalData(curve9, place)
+        chain = local.chain
+        assert local.chain is chain
+        kind = place.place_class.kind
+        picked[kind] = next(name for name in "hfg" if vars(local).get(name) is chain)
+        want = {"beta_one": ["build_beta1_chain"],
+                "rational_general": ["build_f_chain"]}.get(
+                    kind, ["build_f_chain", "build_g_chain"])
+        assert builds == want, place.place_class
+    assert picked == {"beta_one": "h", "rational_general": "f",
+                      "nonrational_special": "g", "nonrational_generic": "g"}

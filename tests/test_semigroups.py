@@ -1,9 +1,11 @@
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from charthree.semigroups import GapSet, NumericalSemigroup, is_cofinite_monoid
+from charthree.weierstrass import generic_gap_set, special_gap_set
 
 
 def closure_gaps(gens, bound):
@@ -80,6 +82,58 @@ def test_is_cofinite_monoid():
     assert is_cofinite_monoid(sg.gap_set())
     broken = set(sg.gaps) | {15}   # 15 = 6 + 9 must be a non-gap
     assert not is_cofinite_monoid(broken)
+
+
+def cofinite_by_sets(g):
+    """The set-based reference: every sum of two non-gaps up to
+    max(gaps) + the smallest positive non-gap must be a non-gap."""
+    gaps = set(g.gaps if isinstance(g, GapSet) else g)
+    if not gaps:
+        return True
+    if 0 in gaps or any(x < 0 for x in gaps):
+        return False
+    top = max(gaps)
+    mingen = next(k for k in range(1, top + 2) if k not in gaps)
+    bound = top + mingen
+    nongaps = [k for k in range(1, bound + 1) if k not in gaps]
+    for x in nongaps:
+        for y in nongaps:
+            s = x + y
+            if s > bound:
+                break
+            if s in gaps:
+                return False
+    return True
+
+
+def test_cofinite_bitsets_match_sets_on_random_sets():
+    for gaps in (set(), {0}, {0, 1}, {-1, 2}, {-2}):
+        assert is_cofinite_monoid(gaps) == cofinite_by_sets(gaps) == (not gaps)
+    rng = random.Random(13)
+    seen = set()
+    for _ in range(3000):
+        lo = rng.choice((-3, 0, 1))    # negative members, 0, or neither
+        gaps = {rng.randrange(lo, 30) for _ in range(rng.randrange(12))}
+        want = cofinite_by_sets(gaps)
+        assert is_cofinite_monoid(gaps) == want, sorted(gaps)
+        seen.add((want, min(gaps, default=1) <= 0))
+    assert seen == {(True, False), (False, False), (False, True)}
+    for _ in range(100):   # true gap sets, and each with one member toggled
+        gens = rng.sample(range(2, 25), 3)
+        if math.gcd(*gens) != 1:
+            continue
+        gaps = set(NumericalSemigroup.from_generators(gens).gaps)
+        poked = gaps ^ {rng.randrange(1, max(gaps) + 2)}
+        assert is_cofinite_monoid(gaps) and cofinite_by_sets(gaps)
+        assert is_cofinite_monoid(poked) == cofinite_by_sets(poked)
+
+
+def test_cofinite_bitsets_match_sets_at_q81():
+    curve = SimpleNamespace(q=81, m=27)
+    for gaps in (generic_gap_set(curve), special_gap_set(curve, 12, 3),
+                 special_gap_set(curve, 25, 16)):
+        assert gaps.genus == 1080
+        assert is_cofinite_monoid(gaps) is cofinite_by_sets(gaps) is True
 
 
 def test_random_generator_sets_properties():
