@@ -107,9 +107,10 @@ def _shifts(curve: Curve, elements: list[Automorphism], n: int):
     return [pk(a) for a in a_set], [(eps, pk(b)) for eps, b in eb_set]
 
 
-def _product_orbit(place: Place, a_shifts, eb_shifts) -> set:
-    pa, pb = place.a.pk, place.b.pk
-    neg_pb = _p3_canon(place.b.level._threes - pb)
+def _product_orbit(pa: int, pb: int, threes: int, a_shifts, eb_shifts) -> set:
+    """The orbit of the packed point (pa, pb), whose level has the packed
+    all-threes constant `threes`, under the shift sets of `_shifts`."""
+    neg_pb = _p3_canon(threes - pb)
     a_keys = [_p3_canon(pa + x) for x in a_shifts]
     b_keys = {_p3_canon((pb if eps == 1 else neg_pb) + y) for eps, y in eb_shifts}
     return {(x, y) for x in a_keys for y in b_keys}
@@ -128,28 +129,24 @@ def orbit(curve: Curve, place: Place,
         elements = group_elements(curve)
     if place.is_infinity():
         return {"infinity"}
-    return _product_orbit(place, *_shifts(curve, elements, place.a.level.n))
+    lvl = place.a.level
+    return _product_orbit(place.a.pk, place.b.pk, lvl._threes,
+                          *_shifts(curve, elements, lvl.n))
 
 
-def orbit_partition(curve: Curve, places: list[Place],
+def orbit_partition(curve: Curve, keys,
                     elements: list[Automorphism] | None = None) -> list[set]:
-    """Partition of the given places into G-orbits (coordinate-key sets)."""
+    """Partition of the affine rational places with the given packed
+    (a-pk, b-pk) keys at the F_{q^2} level into G-orbits, as `orbit`
+    computes them."""
     if elements is None:
         elements = group_elements(curve)
-    shifts = {}     # level degree -> the shift sets of `orbit`
-    seen = set()
+    threes = curve.base._threes
+    a_shifts, eb_shifts = _shifts(curve, elements, curve.base.n)
+    todo = set(keys)
     orbits = []
-    for p in places:
-        key = "infinity" if p.is_infinity() else (p.a.pk, p.b.pk)
-        if key in seen:
-            continue
-        if p.is_infinity():
-            orb = {"infinity"}
-        else:
-            n = p.a.level.n
-            if n not in shifts:
-                shifts[n] = _shifts(curve, elements, n)
-            orb = _product_orbit(p, *shifts[n])
-        seen |= orb
+    while todo:
+        orb = _product_orbit(*todo.pop(), threes, a_shifts, eb_shifts)
+        todo -= orb
         orbits.append(orb)
     return orbits

@@ -18,7 +18,7 @@ import random
 import sys
 
 from . import automorphisms, localseries, polyfamilies
-from .curve import Curve, Place
+from .curve import INFINITY, Curve, Place, row_places
 from .weierstrass import (class_representatives, full_census, semigroup_at,
                           verify_gaps, verify_nongaps)
 
@@ -171,14 +171,23 @@ def cmd_places(args) -> int:
                                           max_rel_degree=args.max_degree)
     else:
         want = None if args.klass is None else args.klass.replace("-", "_")
-        places = [p for p in curve.enumerate_rational()
-                  if want is None or p.place_class.kind == want]
+        if want is None:
+            places = curve.enumerate_rational()
+        elif want == INFINITY:
+            places = [curve.infinity()]
+        else:
+            places = list(row_places(_class_rows(curve, want)))
     rows = [_place_row(p) for p in places]
     levels = {2 * curve.t} | {r["level"] for r in rows if "level" in r}
     _emit(_document(curve, "places", rows,
                     {"field": _field_header(curve, levels)}),
           args.format, args.out)
     return 0
+
+
+def _class_rows(curve: Curve, kind: str) -> list[tuple]:
+    """The rows of `curve.rational_rows()` whose class has the given kind."""
+    return [row for row in curve.rational_rows() if row[3].kind == kind]
 
 
 def _resolve_place(curve: Curve, args) -> Place:
@@ -202,9 +211,7 @@ def _resolve_place(curve: Curve, args) -> Place:
     if args.klass is not None:
         if args.index < 0:
             raise SystemExit2(f"--index must be >= 0, got {args.index}")
-        want = args.klass.replace("-", "_")
-        matches = [p for p in curve.enumerate_rational()
-                   if p.place_class.kind == want]
+        matches = list(row_places(_class_rows(curve, args.klass.replace("-", "_"))))
         if args.index >= len(matches):
             raise SystemExit2(f"class {args.klass} has only {len(matches)} places")
         return matches[args.index]
@@ -283,9 +290,9 @@ def _guard(rows: list, name: str, fn, *fn_args, ok=bool, detail=lambda value: ""
     return value
 
 
-def _group_census(curve: Curve, places, rows: list):
+def _group_census(curve: Curve, census_rows, rows: list):
     """The automorphism group and the census of the rational places
-    (`places`, or enumerated by `full_census`) under it, with the autgroup
+    (`census_rows`, or enumerated by `full_census`) under it, with the autgroup
     rows appended to `rows`.  Returns (elements, report), with None for
     the step that failed and each one after it."""
     order = 2 * curve.q * curve.q // 3
@@ -294,8 +301,9 @@ def _group_census(curve: Curve, places, rows: list):
                       detail=lambda els: f"|G| = {len(els)}")
     if elements is None:
         return None, None
-    report = _guard(rows, "autgroup.orbits_partition", full_census, curve, places,
-                    elements, ok=lambda r: sum(r.orbit_sizes) == r.total_places,
+    report = _guard(rows, "autgroup.orbits_partition", full_census, curve,
+                    census_rows, elements,
+                    ok=lambda r: sum(r.orbit_sizes) == r.total_places,
                     detail=lambda r: f"sizes {r.orbit_sizes}")
     if report is not None:
         rows.append({"check": "autgroup.orbit_class_constant",
@@ -352,13 +360,22 @@ def cmd_verify(args) -> int:
 
     reps: dict[str, Place] = {}     # one rational place per class
     samples: list[Place] = []       # one sampled place per non-rational class
-    places = None       # the census list, passed on to the autgroup scope
+    census_rows = None  # the rational rows, passed on to the autgroup scope
     if scope in ("semigroups", "valuations", "all"):
         expected = q * q + 1 + 2 * q * curve.genus
-        places = _guard(rows, "census.count", curve.enumerate_rational,
-                        ok=lambda found: len(found) == expected,
-                        detail=lambda found: f"{len(found)} places (want {expected})")
-        reps = class_representatives(places or ())
+
+        def count(found):
+            return 1 + sum(len(a_values) for _, _, a_values, _ in found)
+
+        census_rows = _guard(rows, "census.count", curve.rational_rows,
+                             ok=lambda found: count(found) == expected,
+                             detail=lambda found: f"{count(found)} places "
+                                                  f"(want {expected})")
+        if census_rows is not None:
+            # the first place of a class is the first a of its first row
+            reps = class_representatives(
+                [curve.infinity()] + [Place(a_values[0], b, beta, 1, cls)
+                                      for b, beta, a_values, cls in census_rows])
         by_class = _guard(rows, "nonrational.sampled", curve.sample_classes, 1,
                           detail=lambda found: f"{len(found)} places, classes "
                                                f"{sorted(found)}")
@@ -398,7 +415,7 @@ def cmd_verify(args) -> int:
                 rows[-1]["certificates"] = certificates(certs)
 
     if scope in ("autgroup", "all"):
-        _group_census(curve, places, rows)
+        _group_census(curve, census_rows, rows)
     _emit(_document(curve, "verify", rows), args.format, args.out)
     return 0 if all(r["ok"] for r in rows) else 1
 

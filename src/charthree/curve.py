@@ -111,10 +111,6 @@ class Curve:
     def frob_q2(self, x: FieldElement) -> FieldElement:
         return x.pow3(2 * self.t)
 
-    def on_curve(self, a: FieldElement, b: FieldElement) -> bool:
-        pb = self.p_map(b)
-        return (self.frob_q(a) + a + pb * pb).is_zero()
-
     # -- linear solvers over the tower ----------------------------------------
 
     def _basis_images(self, name: str, n: int) -> list[FieldElement]:
@@ -218,16 +214,17 @@ class Curve:
             return PlaceClass(NONRATIONAL_SPECIAL, i, K)
         return PlaceClass(NONRATIONAL_GENERIC, i, K)
 
-    def enumerate_rational(self) -> list[Place]:
-        """All degree-one places: P_infinity plus every (a,b) in F_{q^2}^2
-        on the curve.  Count must equal q^2 + 1 + 2q*genus by maximality.
+    def rational_rows(self) -> list[tuple]:
+        """The affine degree-one places, packed: one row (b, beta, a_values,
+        cls) for each b of F_{q^2} in `iter_elements` order that has
+        places, where beta = p(b)^2 and a_values are the a's with
+        a^q + a = -beta, in `iter_elements` order.  Rows with equal beta
+        share one a_values list and one class object.
 
         Both a -> a^q + a and b -> p(b) are F_3-linear, so their images on
         all of F_{q^2} come from `_linear_table`; the a's are bucketed by
         image, and each of the 3q distinct values of p(b) is squared and
-        classified once.  Places come out ordered by b, then by a, both in
-        `iter_elements` order."""
-        places = [self.infinity()]
+        classified once."""
         lvl = self.base
         elements = list(lvl.iter_elements())
         buckets: dict[int, list[FieldElement]] = {}
@@ -235,20 +232,27 @@ class Curve:
             [x.pk for x in self._basis_images("artin_schreier", lvl.n)])
         for a, image in zip(elements, as_images):
             buckets.setdefault(image, []).append(a)
-        # p(b) -> (beta, the a's with a^q + a = -beta, class or None)
+        # p(b) -> (beta, its a's or None, class or None)
         by_pb: dict[int, tuple] = {}
+        rows = []
         p_images = _linear_table([x.pk for x in self._basis_images("trace_p", lvl.n)])
         for b, pb in zip(elements, p_images):
             entry = by_pb.get(pb)
             if entry is None:
                 root = FieldElement(lvl, pb)
                 beta = root * root
-                a_values = buckets.get((-beta).pk, ())
+                a_values = buckets.get((-beta).pk)
                 cls = self.classify_beta(beta, 1) if a_values else None
                 entry = by_pb[pb] = (beta, a_values, cls)
-            beta, a_values, cls = entry
-            places.extend(Place(a, b, beta, 1, cls) for a in a_values)
-        return places
+            if entry[1]:
+                rows.append((b, *entry))
+        return rows
+
+    def enumerate_rational(self) -> list[Place]:
+        """All degree-one places as `Place` objects: P_infinity, then those
+        of `rational_rows`, ordered by b, then by a.  Count must equal
+        q^2 + 1 + 2q*genus by maximality."""
+        return [self.infinity(), *row_places(self.rational_rows())]
 
     # -- Hermitian lift --------------------------------------------------------
 
@@ -360,6 +364,13 @@ class Curve:
             if places:
                 by_class[str(places[0].place_class)] = places
         return by_class
+
+
+def row_places(rows):
+    """The places of `Curve.rational_rows` rows, by row, then by a."""
+    for b, beta, a_values, cls in rows:
+        for a in a_values:
+            yield Place(a, b, beta, 1, cls)
 
 
 def _mult_order_int(base: int, mod: int) -> int:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from . import automorphisms
 from .curve import (BETA_ONE, BETA_ZERO, Curve, INFINITY, NONRATIONAL_GENERIC,
-                    NONRATIONAL_SPECIAL, Place, RATIONAL_GENERAL)
+                    NONRATIONAL_SPECIAL, Place, PlaceClass, RATIONAL_GENERAL)
 from .errors import CertificateError, require
 from .localseries import LocalData, expand_x_at_beta_zero
 from .semigroups import GapSet, NumericalSemigroup, is_cofinite_monoid
@@ -249,45 +249,48 @@ class CensusReport:
     orbits_class_constant: bool
 
 
-def full_census(curve: Curve, places: list[Place] | None = None,
+def full_census(curve: Curve, rows: list[tuple] | None = None,
                 elements: list[automorphisms.Automorphism] | None = None
                 ) -> CensusReport:
-    """Enumerate the rational places, tally classes and P-orders, compute
-    the automorphism orbits and check assignments are orbit-constant.
+    """Tally the rational places by class and P-order, compute the
+    automorphism orbits and check assignments are orbit-constant.
 
-    `places` is the output of `curve.enumerate_rational()` and `elements`
-    that of `automorphisms.group_elements(curve)`; either is computed here
-    when not given, so a caller that already holds them does not pay twice.
-    Every orbit point is looked up among the places, so closure of the
-    place set under G and class constancy are checked place by place."""
-    if places is None:
-        places = curve.enumerate_rational()
+    `rows` is the output of `curve.rational_rows()` and `elements` that of
+    `automorphisms.group_elements(curve)`; either is computed here when not
+    given, so a caller that already holds them does not pay twice.  Every
+    orbit point is looked up among the census keys, so closure of the
+    place set under G and class constancy are checked place by place.
+    Classes are cached per beta, so they compare by identity first."""
+    if rows is None:
+        rows = curve.rational_rows()
     if elements is None:
         elements = automorphisms.group_elements(curve)
-    class_counts: dict[str, int] = {}
+    class_counts: dict[str, int] = {INFINITY: 1}
     p_order_counts: dict[int, int] = {}
-    by_key = {}
-    for p in places:
-        cls = p.place_class
-        class_counts[cls.kind] = class_counts.get(cls.kind, 0) + 1
+    census: dict[tuple[int, int], PlaceClass] = {}     # (a-pk, b-pk) -> class
+    for b, _, a_values, cls in rows:
+        count = len(a_values)
+        class_counts[cls.kind] = class_counts.get(cls.kind, 0) + count
         if cls.kind == RATIONAL_GENERAL:
-            p_order_counts[cls.i] = p_order_counts.get(cls.i, 0) + 1
-        key = "infinity" if p.is_infinity() else (p.a.pk, p.b.pk)
-        by_key[key] = p
-    orbits = automorphisms.orbit_partition(curve, places, elements)
+            p_order_counts[cls.i] = p_order_counts.get(cls.i, 0) + count
+        bk = b.pk
+        for a in a_values:
+            census[a.pk, bk] = cls
+    orbits = automorphisms.orbit_partition(curve, census, elements)
     constant = True
     for orb in orbits:
         try:
-            classes = {by_key[k].place_class for k in orb}
+            classes = list(map(census.__getitem__, orb))
         except KeyError as exc:
             raise CertificateError(f"orbit point {exc} is not a census place") from None
-        if len(classes) != 1:
+        # list.count compares by identity before equality
+        if classes.count(classes[0]) != len(classes):
             constant = False
     return CensusReport(
         q=curve.q,
-        total_places=len(places),
+        total_places=sum(class_counts.values()),
         class_counts=class_counts,
         p_order_counts=p_order_counts,
-        orbit_sizes=sorted(len(o) for o in orbits),
+        orbit_sizes=sorted([1] + [len(o) for o in orbits]),   # 1: P_infinity
         orbits_class_constant=constant,
     )

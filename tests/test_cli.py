@@ -3,7 +3,7 @@ import json
 import pytest
 
 from charthree import automorphisms, cli, localseries, polyfamilies
-from charthree.curve import Curve
+from charthree.curve import Curve, Place
 from charthree.cli import main
 from charthree.errors import CertificateError
 
@@ -30,6 +30,31 @@ def test_places_class_filter(capsys):
     doc = json.loads(out)
     assert len(doc["results"]) == 27
     assert all(r["class"] == "beta_zero" for r in doc["results"])
+
+
+@pytest.mark.parametrize("klass", ["beta-zero", "infinity"])
+def test_places_class_filter_prints_the_filtered_enumeration(capsys, klass):
+    # the filter builds places from the rows of one class only; its JSON
+    # is the unfiltered document restricted to that class
+    _, full = run_cli(capsys, "places", "--t", "2")
+    code, out = run_cli(capsys, "places", "--t", "2", "--class", klass)
+    assert code == 0
+    doc = json.loads(full)
+    doc["results"] = [r for r in doc["results"]
+                      if r["class"] == klass.replace("-", "_")]
+    assert out == json.dumps(doc, indent=2) + "\n"
+
+
+def test_semigroup_class_index_is_the_enumerated_place(capsys):
+    # --class/--index picks the index-th place of the class in
+    # enumeration order, the same place as its coordinates select
+    p = next(p for p in Curve(2).enumerate_rational()
+             if p.place_class.kind == "beta_one")
+    coords = ";".join(",".join(map(str, e.coeffs)) for e in (p.a, p.b))
+    code, by_class = run_cli(capsys, "semigroup", "--t", "2", "--class", "beta-one",
+                             "--index", "0")
+    _, by_coords = run_cli(capsys, "semigroup", "--t", "2", "--place", coords)
+    assert code == 0 and by_class == by_coords
 
 
 def test_places_class_rejects_nonrational(capsys):
@@ -289,7 +314,7 @@ def test_verify_reports_a_failing_polyfam_check_as_a_row(capsys, monkeypatch):
 
 
 def test_verify_reports_a_failing_enumeration_as_a_row(capsys, monkeypatch):
-    monkeypatch.setattr(Curve, "enumerate_rational",
+    monkeypatch.setattr(Curve, "rational_rows",
                         _raise(ArithmeticError("bucket mismatch")))
     rows = _failing_verify(capsys, ["verify", "--t", "2", "--scope", "semigroups"])
     census = [r for r in rows if r["check"] == "census.count"]
@@ -327,12 +352,34 @@ def test_verify_reports_a_failing_census_as_a_row(capsys, monkeypatch):
 @pytest.mark.parametrize("scope", ["all", "autgroup"])
 def test_verify_enumerates_once(capsys, monkeypatch, scope):
     calls = []
-    enumerate_rational = Curve.enumerate_rational
+    rational_rows = Curve.rational_rows
 
     def counted(self):
         calls.append(self.q)
-        return enumerate_rational(self)
+        return rational_rows(self)
 
-    monkeypatch.setattr(Curve, "enumerate_rational", counted)
+    monkeypatch.setattr(Curve, "rational_rows", counted)
     code, _ = run_cli(capsys, "verify", "--t", "2", "--scope", scope)
     assert code == 0 and calls == [9]
+
+
+def test_verify_builds_a_place_per_row_not_per_place(capsys, monkeypatch):
+    # one Place per rational row (the class representatives), P_infinity,
+    # and the sampled places; none for the other rational places
+    n_rows = len(Curve(2).rational_rows())
+    counts = {"places": 0, "from_coords": 0}
+
+    def count(owner, name, key):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    count(Place, "__init__", "places")
+    count(Curve, "place_from_coords", "from_coords")
+    code, _ = run_cli(capsys, "verify", "--t", "2", "--scope", "all")
+    assert code == 0
+    assert 0 < counts["places"] <= n_rows + 1 + counts["from_coords"]
+    assert counts["places"] < 298 - 1, counts

@@ -1,6 +1,7 @@
 import pytest
 
-from charthree.curve import Curve
+from charthree import automorphisms as aut
+from charthree.curve import Curve, PlaceClass
 from charthree.errors import CertificateError
 from charthree.semigroups import is_cofinite_monoid
 from charthree.weierstrass import (class_representatives, full_census,
@@ -184,9 +185,64 @@ def test_full_census_q9(curve9):
     assert report.orbits_class_constant
 
 
-def test_full_census_rejects_a_place_set_not_closed_under_g(curve9, places9):
+def test_full_census_rejects_a_place_set_not_closed_under_g(curve9):
+    rows = curve9.rational_rows()
+    b, beta, a_values, cls = rows[-1]
+    rows[-1] = (b, beta, a_values[:-1], cls)
     with pytest.raises(CertificateError, match="not a census place"):
-        full_census(curve9, places9[:-1])
+        full_census(curve9, rows)
+
+
+def _place_census(curve, places, elements):
+    """The census on `Place` objects that the packed `full_census`
+    replaced: per-place tallies, orbits from `orbit` and a set of classes
+    per orbit."""
+    class_counts, p_order_counts, by_key = {}, {}, {}
+    for p in places:
+        cls = p.place_class
+        class_counts[cls.kind] = class_counts.get(cls.kind, 0) + 1
+        if cls.kind == "rational_general":
+            p_order_counts[cls.i] = p_order_counts.get(cls.i, 0) + 1
+        by_key["infinity" if p.is_infinity() else (p.a.pk, p.b.pk)] = p
+    seen, orbits = set(), []
+    for p in places:
+        key = "infinity" if p.is_infinity() else (p.a.pk, p.b.pk)
+        if key not in seen:
+            orb = aut.orbit(curve, p, elements)
+            seen |= orb
+            orbits.append(orb)
+    constant = all(len({by_key[k].place_class for k in orb}) == 1 for orb in orbits)
+    return (list(class_counts.items()), p_order_counts,
+            sorted(len(o) for o in orbits), constant)
+
+
+@pytest.mark.parametrize("curve_name,places_name", [("curve9", "places9"),
+                                                    ("curve27", "places27")])
+def test_packed_census_matches_place_census(request, curve_name, places_name):
+    curve = request.getfixturevalue(curve_name)
+    places = request.getfixturevalue(places_name)
+    elements = aut.group_elements(curve)
+    report = full_census(curve, curve.rational_rows(), elements)
+    assert report.total_places == len(places)
+    assert (list(report.class_counts.items()), report.p_order_counts,
+            report.orbit_sizes, report.orbits_class_constant) == \
+        _place_census(curve, places, elements)
+
+
+def test_full_census_sees_a_row_with_another_class(curve9):
+    rows = curve9.rational_rows()
+    b, beta, a_values, cls = rows[5]
+    assert cls.kind == "rational_general"
+    rows[5] = (b, beta, a_values, PlaceClass("rational_general", cls.i + 1))
+    assert not full_census(curve9, rows).orbits_class_constant
+
+
+def test_full_census_compares_classes_by_value(curve9):
+    # equal classes that are different objects are still one class
+    rows = [(b, beta, a_values, PlaceClass(cls.kind, cls.i, cls.K))
+            for b, beta, a_values, cls in curve9.rational_rows()]
+    assert len({id(row[3]) for row in rows}) == len(rows)
+    assert full_census(curve9, rows) == full_census(curve9)
 
 
 def test_full_census_q81():
